@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"datampi/internal/kv"
@@ -142,6 +143,10 @@ type spl struct {
 	frameSeq []int64
 }
 
+// splSlack is the headroom a presized SPL buffer keeps past maxSize for
+// the record that crosses it.
+const splSlack = 1 << 10
+
 type partBuf struct {
 	data    []byte
 	records int64
@@ -173,6 +178,13 @@ func (s *spl) add(p int, rec kv.Record) *partBuf {
 	b := &s.parts[p]
 	if b.data == nil {
 		b.data = getFrame()
+	}
+	if need := len(b.data) + rec.Size(); need > cap(b.data) && s.maxRecords == 0 {
+		// A size-sealed buffer that outgrows its pooled frame ends just past
+		// maxSize: grow to that once instead of through append's doublings
+		// (about twice the bytes). Buffers that stay small keep the pooled
+		// frame, and record-capped (streaming) buffers grow as usual.
+		b.data = slices.Grow(b.data, max(need, frameHeaderLen+s.maxSize+splSlack)-len(b.data))
 	}
 	b.data = kv.AppendRecord(b.data, rec)
 	b.records++
@@ -236,13 +248,9 @@ func prepareFrame(cfg *Config, frame []byte, nrec int64, scratch *[]kv.Record) (
 		return nil, 0, err
 	}
 	*scratch = recs
-	cmp := cfg.Compare
-	if cmp == nil {
-		cmp = kv.DefaultCompare
-	}
-	kv.SortRecords(recs, cmp)
+	kv.SortRecords(recs, cfg.Compare)
 	if cfg.Combine != nil {
-		recs = kv.ApplyCombine(recs, cmp, cfg.Combine)
+		recs = kv.ApplyCombine(recs, cfg.compare(), cfg.Combine)
 	}
 	out := getFrame()
 	for _, r := range recs {

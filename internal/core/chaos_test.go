@@ -192,3 +192,32 @@ func TestFaultPlanDefaultsIOTimeout(t *testing.T) {
 		t.Fatalf("IOTimeout defaulted to %v without fault injection", c2.IOTimeout)
 	}
 }
+
+// TestConcurrentFailSeenByCountSend: err() skips failMu until the failed
+// flag is stored, which happens only after failErr is set. A failure
+// recorded while senders run must still stop every one of them with that
+// error (run under -race, this also checks the publication is ordered).
+func TestConcurrentFailSeenByCountSend(t *testing.T) {
+	rt := &Runtime{job: &Job{}, aborted: make(chan struct{}), failRank: -1}
+	boom := errors.New("boom")
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if err := rt.countSend(); err != nil {
+					if !errors.Is(err, boom) {
+						t.Errorf("countSend failed with %v, want %v", err, boom)
+					}
+					return
+				}
+			}
+		}()
+	}
+	rt.fail(boom)
+	wg.Wait()
+	if err := rt.err(); !errors.Is(err, boom) {
+		t.Fatalf("err() = %v after fail, want %v", err, boom)
+	}
+}

@@ -62,8 +62,9 @@ type Config struct {
 	KeyCodec   kv.Codec
 	ValueCodec kv.Codec
 
-	// Compare is MPI_D_COMPARE (Table II). Nil selects the default
-	// raw-byte comparator in sorted modes.
+	// Compare is MPI_D_COMPARE (Table II). Nil selects raw-byte order in
+	// sorted modes, which kv sorts and merges through an 8-byte key-prefix
+	// column instead of calling a comparator per record pair.
 	Compare kv.Compare
 	// GroupCompare, if set, controls how NextGroup coalesces keys into
 	// reduce groups independently of the sort order — Hadoop's grouping
@@ -313,9 +314,6 @@ func (c *Config) Normalize(mode Mode) error {
 		s := mode != Streaming
 		c.Sorted = &s
 	}
-	if *c.Sorted && c.Compare == nil {
-		c.Compare = kv.DefaultCompare
-	}
 	if c.CheckpointRecords <= 0 {
 		c.CheckpointRecords = 4096
 	}
@@ -388,6 +386,16 @@ func (c *Config) creditWindow(mode Mode) int64 {
 		return 0
 	}
 	return int64(c.StreamCreditWindow)
+}
+
+// compare is Compare with nil resolved to raw-byte order, for the stages
+// (combine, grouping) that need a comparator func. Sort and merge take
+// Compare as is: kv reads nil as raw-byte order on its key-prefix path.
+func (c *Config) compare() kv.Compare {
+	if c.Compare == nil {
+		return kv.DefaultCompare
+	}
+	return c.Compare
 }
 
 // sorted reports whether intermediate data is sorted under this config.

@@ -429,7 +429,7 @@ func (c *Context) NextGroup() (kv.Group, bool, error) {
 	if c.grouper == nil {
 		gc := c.job.Conf.GroupCompare
 		if gc == nil {
-			gc = c.job.Conf.Compare
+			gc = c.job.Conf.compare()
 		}
 		c.grouper = kv.NewGrouper(c.it, gc)
 		// Streamed-value placeholders resolve against this process's blob

@@ -42,6 +42,9 @@ type Runtime struct {
 	failMu      sync.Mutex
 	failErr     error
 	failRank    int // worker the failure was observed on; -1 otherwise
+	// failed is stored true only after failErr is set, so err() can skip
+	// failMu on the per-record path while nothing has failed.
+	failed atomic.Bool
 
 	sent          atomic.Int64
 	cpDurable     atomic.Int64
@@ -475,6 +478,7 @@ func (rt *Runtime) failAt(rank int, err error) {
 		rt.failErr = err
 		rt.failRank = rank
 		rt.failMu.Unlock()
+		rt.failed.Store(true)
 		close(rt.aborted)
 		if rt.abortCancel != nil {
 			rt.abortCancel()
@@ -493,8 +497,12 @@ func (rt *Runtime) failAt(rank int, err error) {
 	})
 }
 
-// err returns the recorded failure, if any.
+// err returns the recorded failure, if any. It is lock-free until a
+// failure is recorded: countSend calls it for every record sent.
 func (rt *Runtime) err() error {
+	if !rt.failed.Load() {
+		return nil
+	}
 	rt.failMu.Lock()
 	defer rt.failMu.Unlock()
 	return rt.failErr

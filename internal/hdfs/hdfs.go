@@ -175,6 +175,13 @@ func (fs *FileSystem) pickHosts(preferred int) []int {
 }
 
 // Writer writes a file block by block.
+//
+// It stages the current partial block in one buffer that grows toward
+// BlockSize in 8× steps (so a tiny file never allocates a whole block, and
+// filling a block allocates ~1.14 blocks in total) and is reused from
+// length 0 after every flushBlock. flushBlock is synchronous — the replica
+// writes and the CRC are done when it returns — so reuse never races a
+// reader of the old contents.
 type Writer struct {
 	fs        *FileSystem
 	path      string
@@ -184,6 +191,9 @@ type Writer struct {
 	err       error
 }
 
+// minBlockBuf is the smallest staging buffer a Writer allocates.
+const minBlockBuf = 4 << 10
+
 // Write implements io.Writer.
 func (w *Writer) Write(p []byte) (int, error) {
 	if w.err != nil {
@@ -192,15 +202,39 @@ func (w *Writer) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, errors.New("hdfs: write after close")
 	}
-	w.buf = append(w.buf, p...)
-	for int64(len(w.buf)) >= w.fs.cfg.BlockSize {
-		if err := w.flushBlock(w.buf[:w.fs.cfg.BlockSize]); err != nil {
+	n := len(p)
+	bs := int(w.fs.cfg.BlockSize)
+	for len(p) > 0 {
+		c := min(bs-len(w.buf), len(p))
+		w.grow(len(w.buf)+c, bs)
+		w.buf = append(w.buf, p[:c]...)
+		p = p[c:]
+		if len(w.buf) < bs {
+			break
+		}
+		if err := w.flushBlock(w.buf); err != nil {
 			w.err = err
 			return 0, err
 		}
-		w.buf = w.buf[w.fs.cfg.BlockSize:]
+		w.buf = w.buf[:0]
 	}
-	return len(p), nil
+	return n, nil
+}
+
+// grow makes the staging buffer hold need bytes (need <= bs). Capacities
+// are bs/8^j, the smallest such at least need (and at least minBlockBuf),
+// so the last step lands on exactly bs.
+func (w *Writer) grow(need, bs int) {
+	if need <= cap(w.buf) {
+		return
+	}
+	c := bs
+	for c/8 >= need && c/8 >= minBlockBuf {
+		c /= 8
+	}
+	nb := make([]byte, len(w.buf), c)
+	copy(nb, w.buf)
+	w.buf = nb
 }
 
 func (w *Writer) flushBlock(data []byte) error {
@@ -247,10 +281,11 @@ func (w *Writer) Close() error {
 	}
 	if len(w.buf) > 0 {
 		if err := w.flushBlock(w.buf); err != nil {
+			w.err = err
 			return err
 		}
-		w.buf = nil
 	}
+	w.buf = nil
 	return nil
 }
 

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -316,5 +319,150 @@ func TestConfigValidation(t *testing.T) {
 	locs, _ := fs.Locations("/f")
 	if len(locs[0].Hosts) != 1 {
 		t.Errorf("replication not clamped: %d", len(locs[0].Hosts))
+	}
+}
+
+// blockDigest is one block of a file as the namenode records it.
+type blockDigest struct {
+	length int64
+	crc    uint32
+}
+
+func fileDigest(t *testing.T, fs *FileSystem, path string) []blockDigest {
+	t.Helper()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fm, ok := fs.files[path]
+	if !ok {
+		t.Fatalf("%s missing", path)
+	}
+	out := make([]blockDigest, len(fm.blocks))
+	for i, b := range fm.blocks {
+		out[i] = blockDigest{b.length, b.crc}
+	}
+	return out
+}
+
+// TestWriterChunkingInvariant: however the bytes are cut into Write calls,
+// the file has the block lengths, CRCs and contents of one WriteFile.
+func TestWriterChunkingInvariant(t *testing.T) {
+	const bs = 1000
+	fs := newFS(t, 2, Config{BlockSize: bs, Replication: 2})
+	data := make([]byte, 3*bs+123)
+	for i := range data {
+		data[i] = byte(i*7 + i/bs)
+	}
+	if err := fs.WriteFile("/ref", data, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := fileDigest(t, fs, "/ref")
+	cuts := map[string][]int{
+		"1-byte":          {1},
+		"100-byte":        {100},
+		"block-multiples": {bs, 2 * bs},
+		"over-two-blocks": {2*bs + 1},
+		"zero-and-odd":    {0, 37, 0, 999, 0, 1},
+	}
+	for name, sizes := range cuts {
+		w, err := fs.Create("/"+name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest := data
+		for i := 0; len(rest) > 0; i++ {
+			n := min(sizes[i%len(sizes)], len(rest))
+			got, err := w.Write(rest[:n])
+			if err != nil || got != n {
+				t.Fatalf("%s: Write(%d) = %d, %v", name, n, got, err)
+			}
+			rest = rest[n:]
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fileDigest(t, fs, "/"+name); !slices.Equal(got, want) {
+			t.Errorf("%s: blocks %v, WriteFile gave %v", name, got, want)
+		}
+		back, err := fs.ReadAll("/"+name, 1)
+		if err != nil || !bytes.Equal(back, data) {
+			t.Errorf("%s: read back %d bytes, %v", name, len(back), err)
+		}
+	}
+}
+
+// TestWriterErrorsSticky: a failed block flush poisons the writer, and a
+// closed writer refuses writes.
+func TestWriterErrorsSticky(t *testing.T) {
+	fs := newFS(t, 1, Config{BlockSize: 10, Replication: 1})
+	w, err := fs.Create("/f", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A plain file where the block directory belongs makes every block
+	// create fail.
+	if err := os.WriteFile(fs.nodes[0].Path("hdfs"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(make([]byte, 25)); err == nil {
+		t.Fatal("block flush onto a broken datanode succeeded")
+	}
+	if _, err := w.Write([]byte("x")); err == nil {
+		t.Error("write after a failed flush succeeded")
+	}
+	if err := w.Close(); err == nil {
+		t.Error("Close after a failed flush succeeded")
+	}
+
+	fs2 := newFS(t, 1, Config{BlockSize: 10, Replication: 1})
+	w2, _ := fs2.Create("/g", 0)
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w2.Write([]byte("late")); err == nil {
+		t.Error("write after Close succeeded")
+	}
+}
+
+// TestWriterAllocatesAboutOneBlock: writing three blocks in 100-byte
+// writes reuses one staging buffer that grew once — about 1.14 blocks in
+// total, not a regrown copy per block.
+func TestWriterAllocatesAboutOneBlock(t *testing.T) {
+	const bs = 4 << 20
+	fs := newFS(t, 1, Config{BlockSize: bs, Replication: 1})
+	chunk := make([]byte, 100)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w, err := fs.Create("/big", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for written := 0; written < 3*bs; written += len(chunk) {
+		if _, err := w.Write(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(bs)*5/4; got > limit {
+		t.Errorf("3 blocks in 100 B writes allocated %d bytes (%.2f blocks), want <= %d",
+			got, float64(got)/bs, limit)
+	}
+}
+
+// TestWriterTinyFileStaysSmall: a small file must not stage a whole block.
+func TestWriterTinyFileStaysSmall(t *testing.T) {
+	fs := newFS(t, 1, Config{BlockSize: 4 << 20, Replication: 1})
+	w, _ := fs.Create("/tiny", 0)
+	if _, err := w.Write([]byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(w.buf); c > 64<<10 {
+		t.Errorf("5-byte file staged in a %d-byte buffer", c)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

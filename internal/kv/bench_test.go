@@ -116,3 +116,73 @@ func BenchmarkGrouper(b *testing.B) {
 		}
 	}
 }
+
+// teraRuns is TeraSort's A-side shape: runs of 10-byte printable keys
+// with 90-byte values, each sorted, as one A task merges them.
+func teraRuns(runs, per int) [][]Record {
+	rng := rand.New(rand.NewSource(1))
+	out := make([][]Record, runs)
+	for r := range out {
+		out[r] = make([]Record, per)
+		for i := range out[r] {
+			k := make([]byte, 10)
+			for j := range k {
+				k[j] = byte(' ' + rng.Intn(95))
+			}
+			out[r][i] = Record{Key: k, Value: make([]byte, 90)}
+		}
+		SortRecords(out[r], DefaultCompare)
+	}
+	return out
+}
+
+// BenchmarkSortTera sorts one 64 KiB SPL batch of TeraSort records in
+// raw-byte order (the prefix column) and through a Compare func value.
+func BenchmarkSortTera(b *testing.B) {
+	base := teraRuns(1, 650)[0]
+	rand.New(rand.NewSource(2)).Shuffle(len(base), func(i, j int) { base[i], base[j] = base[j], base[i] })
+	for _, c := range []struct {
+		name string
+		cmp  Compare
+	}{{"raw", nil}, {"func", DefaultCompare}} {
+		b.Run(c.name, func(b *testing.B) {
+			recs := make([]Record, len(base))
+			for i := 0; i < b.N; i++ {
+				copy(recs, base)
+				SortRecords(recs, c.cmp)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(base)), "ns/rec")
+		})
+	}
+}
+
+// BenchmarkMergeTera merges 190 sorted runs, the fan-in one TeraSort A
+// task sees, in raw-byte order and through a Compare func value.
+func BenchmarkMergeTera(b *testing.B) {
+	runs := teraRuns(190, 130)
+	for _, c := range []struct {
+		name string
+		cmp  Compare
+	}{{"raw", nil}, {"func", DefaultCompare}} {
+		b.Run(c.name, func(b *testing.B) {
+			its := make([]Iterator, len(runs))
+			for i := 0; i < b.N; i++ {
+				for r := range its {
+					its[r] = NewSliceIterator(runs[r])
+				}
+				m, err := NewMerger(c.cmp, its...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for {
+					if _, err := m.Next(); err == io.EOF {
+						break
+					} else if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*190*130), "ns/rec")
+		})
+	}
+}

@@ -2,7 +2,6 @@ package kv
 
 import (
 	"bytes"
-	"container/heap"
 	"io"
 )
 
@@ -38,63 +37,103 @@ type ReaderIterator struct{ R *Reader }
 // Next implements Iterator.
 func (r ReaderIterator) Next() (Record, error) { return r.R.Read() }
 
-type mergeEntry struct {
-	rec Record
-	src int
+// Merger performs a streaming k-way merge over sorted runs, as done by both
+// the Hadoop reduce-side merge and the DataMPI RPL merge queue.
+//
+// It is a tournament (loser) tree over the runs' head records: tree[0] is
+// the run whose head goes out next and tree[1:] hold the loser of the match
+// at each internal node (runs are leaves k..2k-1, run i at node k+i).
+// Advancing the winner replays only its leaf-to-root path — ⌈log2 k⌉
+// direct comparisons, against the ~2·log2 k interface calls of a
+// container/heap sift-down. Heads order by key under cmp, then by lower run
+// index, so equal keys leave in run order.
+type Merger struct {
+	srcs  []Iterator
+	heads []mergeHead
+	tree  []int
+	cmp   Compare
+	err   error
 }
 
-type mergeHeap struct {
-	entries []mergeEntry
-	cmp     Compare
+// mergeHead is one run's current record. In raw-byte order (cmp == nil)
+// pfx caches keyPrefix(rec.Key).
+type mergeHead struct {
+	pfx  uint64
+	rec  Record
+	done bool // run exhausted: loses to every live head
 }
 
-func (h *mergeHeap) Len() int { return len(h.entries) }
+// NewMerger returns a Merger over the given sorted runs under cmp. A nil
+// cmp means raw-byte order (DefaultCompare), compared through the keys'
+// 8-byte prefixes first.
+func NewMerger(cmp Compare, srcs ...Iterator) (*Merger, error) {
+	m := &Merger{srcs: srcs, heads: make([]mergeHead, len(srcs)), tree: make([]int, max(len(srcs), 1)), cmp: cmp}
+	for i := range srcs {
+		if err := m.advance(i); err != nil {
+			return nil, err
+		}
+	}
+	if len(srcs) > 0 {
+		m.tree[0] = m.play(1)
+	}
+	return m, nil
+}
 
-func (h *mergeHeap) Less(i, j int) bool {
-	c := h.cmp(h.entries[i].rec.Key, h.entries[j].rec.Key)
+// advance loads run i's next record into its head.
+func (m *Merger) advance(i int) error {
+	rec, err := m.srcs[i].Next()
+	h := &m.heads[i]
+	if err == io.EOF {
+		h.rec, h.done = Record{}, true
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	h.rec = rec
+	if m.cmp == nil {
+		h.pfx = keyPrefix(rec.Key)
+	}
+	return nil
+}
+
+// play runs the tournament below node, recording each match's loser, and
+// returns the subtree's winner.
+func (m *Merger) play(node int) int {
+	k := len(m.srcs)
+	if node >= k {
+		return node - k
+	}
+	w, l := m.play(2*node), m.play(2*node+1)
+	if m.less(l, w) {
+		w, l = l, w
+	}
+	m.tree[node] = l
+	return w
+}
+
+// less orders run heads: live before exhausted, then key, then run index.
+func (m *Merger) less(a, b int) bool {
+	ha, hb := &m.heads[a], &m.heads[b]
+	if ha.done || hb.done {
+		if ha.done != hb.done {
+			return hb.done
+		}
+		return a < b
+	}
+	var c int
+	if m.cmp == nil {
+		if ha.pfx != hb.pfx {
+			return ha.pfx < hb.pfx
+		}
+		c = bytes.Compare(ha.rec.Key, hb.rec.Key)
+	} else {
+		c = m.cmp(ha.rec.Key, hb.rec.Key)
+	}
 	if c != 0 {
 		return c < 0
 	}
-	// Tie-break on source index for a stable, deterministic merge.
-	return h.entries[i].src < h.entries[j].src
-}
-
-func (h *mergeHeap) Swap(i, j int) { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
-
-func (h *mergeHeap) Push(x any) { h.entries = append(h.entries, x.(mergeEntry)) }
-
-func (h *mergeHeap) Pop() any {
-	old := h.entries
-	n := len(old)
-	e := old[n-1]
-	h.entries = old[:n-1]
-	return e
-}
-
-// Merger performs a streaming k-way merge over sorted runs, as done by both
-// the Hadoop reduce-side merge and the DataMPI RPL merge queue.
-type Merger struct {
-	srcs []Iterator
-	h    mergeHeap
-	err  error
-}
-
-// NewMerger returns a Merger over the given sorted runs under cmp.
-func NewMerger(cmp Compare, srcs ...Iterator) (*Merger, error) {
-	m := &Merger{srcs: srcs}
-	m.h.cmp = cmp
-	for i, s := range srcs {
-		rec, err := s.Next()
-		if err == io.EOF {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		m.h.entries = append(m.h.entries, mergeEntry{rec: rec, src: i})
-	}
-	heap.Init(&m.h)
-	return m, nil
+	return a < b
 }
 
 // Next implements Iterator, yielding records in globally sorted order.
@@ -102,21 +141,26 @@ func (m *Merger) Next() (Record, error) {
 	if m.err != nil {
 		return Record{}, m.err
 	}
-	if m.h.Len() == 0 {
+	if len(m.srcs) == 0 {
 		return Record{}, io.EOF
 	}
-	top := m.h.entries[0]
-	next, err := m.srcs[top.src].Next()
-	if err == io.EOF {
-		heap.Pop(&m.h)
-	} else if err != nil {
+	w := m.tree[0]
+	if m.heads[w].done {
+		return Record{}, io.EOF
+	}
+	rec := m.heads[w].rec
+	if err := m.advance(w); err != nil {
 		m.err = err
 		return Record{}, err
-	} else {
-		m.h.entries[0] = mergeEntry{rec: next, src: top.src}
-		heap.Fix(&m.h, 0)
 	}
-	return top.rec, nil
+	// Replay w's path to the root.
+	for node := uint(w+len(m.srcs)) / 2; node > 0; node /= 2 {
+		if l := m.tree[node]; m.less(l, w) {
+			m.tree[node], w = w, l
+		}
+	}
+	m.tree[0] = w
+	return rec, nil
 }
 
 // Group is one key together with every value that was emitted for it.

@@ -74,8 +74,11 @@ func ReadRecord(b []byte) (Record, int, error) {
 }
 
 // Writer streams framed records to an io.Writer (spill files, checkpoints,
-// HDFS output). It buffers internally; call Flush before relying on the
-// underlying writer's contents.
+// HDFS output). It does not buffer: every Write hands one whole framed
+// record to the underlying writer before returning, so closing the
+// underlying writer is all a caller needs to do. Callers wanting fewer
+// syscalls put the buffer underneath (a bufio.Writer they flush, or an
+// hdfs.Writer, which buffers blocks itself).
 type Writer struct {
 	w   io.Writer
 	buf []byte
@@ -203,31 +206,60 @@ type Compare func(a, b []byte) int
 // raw-byte order equals natural order for all built-in key types.
 func DefaultCompare(a, b []byte) int { return bytes.Compare(a, b) }
 
-// sortScratch is SortRecords' reusable working memory: the index
-// permutation being sorted and the buffer the permutation is applied
-// through. Pooled because the hot path sorts one SPL batch per flush.
+// keyPrefix is the key's first 8 bytes as a big-endian integer, zero-padded
+// when the key is shorter. Prefix order agrees with raw-byte order wherever
+// prefixes differ; equal prefixes ("ab" vs "ab\x00") decide nothing, so a
+// tie must fall back to comparing the full keys.
+func keyPrefix(key []byte) uint64 {
+	if len(key) >= 8 {
+		return binary.BigEndian.Uint64(key)
+	}
+	var b [8]byte
+	copy(b[:], key)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// prefixIdx is one row of the raw-order sort: a key prefix beside the
+// record's position.
+type prefixIdx struct {
+	pfx uint64
+	idx int32
+}
+
+// sortScratch is SortRecords' reusable working memory: the permutation
+// being sorted (an index column, or prefix+index rows in raw-byte order)
+// and the buffer the permutation is applied through. Pooled because the
+// hot path sorts one SPL batch per flush.
 type sortScratch struct {
-	idx []int32
-	tmp []Record
+	idx  []int32
+	rows []prefixIdx
+	tmp  []Record
 }
 
 var sortScratchPool sync.Pool
 
 // SortRecords sorts recs in place by key under cmp, using a stable sort so
 // values with equal keys retain emission order (as Hadoop's sort does).
+// A nil cmp means raw-byte order (DefaultCompare).
 //
 // A Record is two slice headers, so sorting the records directly makes
 // every swap a 48-byte pointer-ful move paying GC write barriers —
 // sort.SliceStable's reflection swapper on top of that dominated shuffle
 // CPU profiles. Instead, sort an int32 permutation (pdqsort over plain
 // ints, no barriers) with the original position as tiebreak — which IS
-// emission-order stability — and apply it with 2n Record moves.
+// emission-order stability — and apply it with 2n Record moves. In
+// raw-byte order each row also carries the key's 8-byte prefix, so most
+// comparisons are one integer compare that never touches the key bytes;
+// only prefix ties read the full keys.
 func SortRecords(recs []Record, cmp Compare) {
 	n := len(recs)
 	if n < 2 {
 		return
 	}
 	if n > math.MaxInt32 {
+		if cmp == nil {
+			cmp = DefaultCompare
+		}
 		slices.SortStableFunc(recs, func(a, b Record) int { return cmp(a.Key, b.Key) })
 		return
 	}
@@ -235,23 +267,50 @@ func SortRecords(recs []Record, cmp Compare) {
 	if s == nil {
 		s = &sortScratch{}
 	}
-	if cap(s.idx) < n {
-		s.idx = make([]int32, n)
+	if cap(s.tmp) < n {
 		s.tmp = make([]Record, n)
 	}
-	idx := s.idx[:n]
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	slices.SortFunc(idx, func(a, b int32) int {
-		if c := cmp(recs[a].Key, recs[b].Key); c != 0 {
-			return c
-		}
-		return int(a) - int(b)
-	})
 	tmp := s.tmp[:n]
-	for i, j := range idx {
-		tmp[i] = recs[j]
+	if cmp == nil {
+		if cap(s.rows) < n {
+			s.rows = make([]prefixIdx, n)
+		}
+		rows := s.rows[:n]
+		for i := range rows {
+			rows[i] = prefixIdx{pfx: keyPrefix(recs[i].Key), idx: int32(i)}
+		}
+		slices.SortFunc(rows, func(a, b prefixIdx) int {
+			if a.pfx != b.pfx {
+				if a.pfx < b.pfx {
+					return -1
+				}
+				return 1
+			}
+			if c := bytes.Compare(recs[a.idx].Key, recs[b.idx].Key); c != 0 {
+				return c
+			}
+			return int(a.idx) - int(b.idx)
+		})
+		for i, r := range rows {
+			tmp[i] = recs[r.idx]
+		}
+	} else {
+		if cap(s.idx) < n {
+			s.idx = make([]int32, n)
+		}
+		idx := s.idx[:n]
+		for i := range idx {
+			idx[i] = int32(i)
+		}
+		slices.SortFunc(idx, func(a, b int32) int {
+			if c := cmp(recs[a].Key, recs[b].Key); c != 0 {
+				return c
+			}
+			return int(a) - int(b)
+		})
+		for i, j := range idx {
+			tmp[i] = recs[j]
+		}
 	}
 	copy(recs, tmp)
 	// Drop the aliased headers before pooling so the scratch does not pin

@@ -134,3 +134,40 @@ func TestDefaultPartitionSpreads(t *testing.T) {
 		}
 	}
 }
+
+// writeLog records every Write the kv.Writer makes to it.
+type writeLog struct{ writes [][]byte }
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestWriterWritesThrough pins the kv.Writer contract: no buffering, one
+// whole framed record per underlying Write, delivered before Write
+// returns. Callers (benchmark/jobs.go, examples/) close the underlying
+// writer without any flush, so a buffering Writer would silently truncate
+// their output.
+func TestWriterWritesThrough(t *testing.T) {
+	var log writeLog
+	w := NewWriter(&log)
+	recs := []Record{
+		{Key: []byte("k1"), Value: []byte("v1")},
+		{},
+		{Key: bytes.Repeat([]byte{'x'}, 300), Value: []byte("long key")},
+	}
+	for i, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+		if len(log.writes) != i+1 {
+			t.Fatalf("after record %d: %d underlying writes, want %d", i, len(log.writes), i+1)
+		}
+		if want := AppendRecord(nil, r); !bytes.Equal(log.writes[i], want) {
+			t.Fatalf("record %d: wrote %x, want %x", i, log.writes[i], want)
+		}
+	}
+	if w.Count() != int64(len(recs)) {
+		t.Errorf("Count = %d, want %d", w.Count(), len(recs))
+	}
+}

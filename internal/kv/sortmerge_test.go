@@ -1,0 +1,323 @@
+package kv
+
+import (
+	"bytes"
+	"container/heap"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// Differential tests for the sort and merge fast paths: SortRecords against
+// slices.SortStableFunc, and the loser-tree Merger against the
+// container/heap merge it replaced (kept below as the reference). Both
+// must agree record for record — keys AND values, so tie order is pinned,
+// not just key order — under a nil (raw-byte, prefix-column) comparator,
+// DefaultCompare, and a reversed custom comparator.
+
+// refHeapMerger is the pre-loser-tree Merger, verbatim but for names.
+type refHeapMerger struct {
+	srcs []Iterator
+	h    refMergeHeap
+	err  error
+}
+
+type refMergeEntry struct {
+	rec Record
+	src int
+}
+
+type refMergeHeap struct {
+	entries []refMergeEntry
+	cmp     Compare
+}
+
+func (h *refMergeHeap) Len() int { return len(h.entries) }
+
+func (h *refMergeHeap) Less(i, j int) bool {
+	c := h.cmp(h.entries[i].rec.Key, h.entries[j].rec.Key)
+	if c != 0 {
+		return c < 0
+	}
+	return h.entries[i].src < h.entries[j].src
+}
+
+func (h *refMergeHeap) Swap(i, j int) { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
+
+func (h *refMergeHeap) Push(x any) { h.entries = append(h.entries, x.(refMergeEntry)) }
+
+func (h *refMergeHeap) Pop() any {
+	old := h.entries
+	e := old[len(old)-1]
+	h.entries = old[:len(old)-1]
+	return e
+}
+
+func newRefHeapMerger(cmp Compare, srcs ...Iterator) (*refHeapMerger, error) {
+	m := &refHeapMerger{srcs: srcs}
+	m.h.cmp = cmp
+	for i, s := range srcs {
+		rec, err := s.Next()
+		if err == io.EOF {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		m.h.entries = append(m.h.entries, refMergeEntry{rec: rec, src: i})
+	}
+	heap.Init(&m.h)
+	return m, nil
+}
+
+func (m *refHeapMerger) Next() (Record, error) {
+	if m.err != nil {
+		return Record{}, m.err
+	}
+	if m.h.Len() == 0 {
+		return Record{}, io.EOF
+	}
+	top := m.h.entries[0]
+	next, err := m.srcs[top.src].Next()
+	if err == io.EOF {
+		heap.Pop(&m.h)
+	} else if err != nil {
+		m.err = err
+		return Record{}, err
+	} else {
+		m.h.entries[0] = refMergeEntry{rec: next, src: top.src}
+		heap.Fix(&m.h, 0)
+	}
+	return top.rec, nil
+}
+
+func reverseCompare(a, b []byte) int { return bytes.Compare(b, a) }
+
+// comparators are the orders every differential case runs under. The
+// reference side gets DefaultCompare where the fast path gets nil.
+var comparators = []struct {
+	name     string
+	cmp, ref Compare
+}{
+	{"nil", nil, DefaultCompare},
+	{"default", DefaultCompare, DefaultCompare},
+	{"reverse", reverseCompare, reverseCompare},
+}
+
+// failingIterator yields recs, then fails instead of reporting io.EOF.
+type failingIterator struct {
+	recs []Record
+	i    int
+}
+
+var errSource = errors.New("source failed")
+
+func (f *failingIterator) Next() (Record, error) {
+	if f.i >= len(f.recs) {
+		return Record{}, errSource
+	}
+	f.i++
+	return f.recs[f.i-1], nil
+}
+
+// drainAll collects records up to EOF or the first error (whose text is
+// returned, "" at EOF), plus one more Next to pin the sticky error.
+func drainAll(it Iterator) ([]Record, string) {
+	var out []Record
+	for {
+		rec, err := it.Next()
+		if err == io.EOF {
+			return out, ""
+		}
+		if err != nil {
+			_, again := it.Next()
+			return out, fmt.Sprintf("%v / %v", err, again)
+		}
+		out = append(out, rec)
+	}
+}
+
+func sameRecords(t *testing.T, what string, got, want []Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, reference %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i].Key, want[i].Key) || !bytes.Equal(got[i].Value, want[i].Value) {
+			t.Fatalf("%s: record %d = (%q,%q), reference (%q,%q)",
+				what, i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
+		}
+	}
+}
+
+// checkSort compares SortRecords with a stable reference sort on a copy.
+func checkSort(t *testing.T, what string, recs []Record, cmp, ref Compare) {
+	t.Helper()
+	want := slices.Clone(recs)
+	slices.SortStableFunc(want, func(a, b Record) int { return ref(a.Key, b.Key) })
+	got := slices.Clone(recs)
+	SortRecords(got, cmp)
+	sameRecords(t, what+"/sort", got, want)
+}
+
+// checkMerge sorts each run under ref, then merges the runs with the
+// loser tree (under cmp) and with the heap reference (under ref).
+// failAt >= 0 makes that run fail after its records.
+func checkMerge(t *testing.T, what string, runs [][]Record, cmp, ref Compare, failAt int) {
+	t.Helper()
+	its := func() []Iterator {
+		out := make([]Iterator, len(runs))
+		for i, r := range runs {
+			if i == failAt {
+				out[i] = &failingIterator{recs: r}
+			} else {
+				out[i] = NewSliceIterator(r)
+			}
+		}
+		return out
+	}
+	for _, r := range runs {
+		slices.SortStableFunc(r, func(a, b Record) int { return ref(a.Key, b.Key) })
+	}
+	m, gotInitErr := NewMerger(cmp, its()...)
+	rm, wantInitErr := newRefHeapMerger(ref, its()...)
+	if (gotInitErr == nil) != (wantInitErr == nil) {
+		t.Fatalf("%s: NewMerger error %v, reference %v", what, gotInitErr, wantInitErr)
+	}
+	if gotInitErr != nil {
+		return
+	}
+	got, gotErr := drainAll(m)
+	want, wantErr := drainAll(rm)
+	sameRecords(t, what+"/merge", got, want)
+	if gotErr != wantErr {
+		t.Fatalf("%s: merge ended with %q, reference %q", what, gotErr, wantErr)
+	}
+}
+
+// genRuns deals n records with keys drawn by key into k runs at random;
+// values are a global sequence number, so any tie-order drift shows.
+func genRuns(rng *rand.Rand, k, n int, key func(*rand.Rand) []byte) [][]Record {
+	runs := make([][]Record, k)
+	for i := 0; i < n && k > 0; i++ {
+		r := rng.Intn(k)
+		runs[r] = append(runs[r], Record{Key: key(rng), Value: []byte(fmt.Sprint(i))})
+	}
+	return runs
+}
+
+// keyShapes are the key distributions the fast path must not get wrong.
+var keyShapes = []struct {
+	name string
+	key  func(*rand.Rand) []byte
+}{
+	{"terasort", func(rng *rand.Rand) []byte {
+		k := make([]byte, 10)
+		for i := range k {
+			k[i] = byte(' ' + rng.Intn(95))
+		}
+		return k
+	}},
+	{"duplicates", func(rng *rand.Rand) []byte { return []byte(fmt.Sprintf("dup-%d", rng.Intn(4))) }},
+	{"empty-and-short", func(rng *rand.Rand) []byte { return bytes.Repeat([]byte{'a'}, rng.Intn(3)) }},
+	// Byte-prefixes of each other, including zero tails that pad to the
+	// same 8-byte prefix: "ab" vs "ab\x00" vs "ab\x00\x00".
+	{"zero-padded-prefixes", func(rng *rand.Rand) []byte {
+		return append([]byte("ab"), make([]byte, rng.Intn(4))...)
+	}},
+	{"same-8-byte-prefix", func(rng *rand.Rand) []byte {
+		return []byte(fmt.Sprintf("prefix00%c%c", 'a'+rng.Intn(3), 'a'+rng.Intn(3)))
+	}},
+	{"mixed-prefix-lengths", func(rng *rand.Rand) []byte {
+		k := []byte("key-0000")
+		return k[:rng.Intn(len(k)+1)]
+	}},
+}
+
+func TestSortRecordsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, shape := range keyShapes {
+		for _, n := range []int{0, 1, 2, 3, 17, 500} {
+			recs := genRuns(rng, 1, n, shape.key)[0]
+			for _, c := range comparators {
+				checkSort(t, fmt.Sprintf("%s/n=%d/%s", shape.name, n, c.name), recs, c.cmp, c.ref)
+			}
+		}
+	}
+}
+
+func TestMergerMatchesHeapMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, shape := range keyShapes {
+		for _, k := range []int{0, 1, 2, 3, 5, 190} {
+			for _, c := range comparators {
+				what := fmt.Sprintf("%s/k=%d/%s", shape.name, k, c.name)
+				// n < k leaves some runs empty; n > k gives long runs.
+				for _, n := range []int{k / 2, 4 * k, 40} {
+					checkMerge(t, what, genRuns(rng, k, n, shape.key), c.cmp, c.ref, -1)
+				}
+			}
+		}
+	}
+}
+
+func TestMergerAllRunsEmpty(t *testing.T) {
+	for _, c := range comparators {
+		checkMerge(t, c.name, make([][]Record, 5), c.cmp, c.ref, -1)
+	}
+}
+
+// A run that errors mid-stream must surface the error at the same record
+// as the heap merge did, and keep returning it.
+func TestMergerSourceErrorMatchesHeapMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, c := range comparators {
+		for _, k := range []int{1, 2, 3, 5, 190} {
+			for _, failAt := range []int{0, k / 2, k - 1} {
+				runs := genRuns(rng, k, 6*k, keyShapes[1].key)
+				checkMerge(t, fmt.Sprintf("%s/k=%d/fail=%d", c.name, k, failAt), runs, c.cmp, c.ref, failAt)
+			}
+		}
+		// A run that fails on its very first record fails NewMerger.
+		checkMerge(t, c.name+"/fail-at-init", [][]Record{{{Key: []byte("a")}}, nil}, c.cmp, c.ref, 1)
+	}
+}
+
+// FuzzSortMerge drives both differential checks from arbitrary bytes:
+// data is carved into keys (a length byte, then that many key bytes, up to
+// 12 so 8-byte prefix ties are common), dealt across k runs by the byte
+// after each key.
+func FuzzSortMerge(f *testing.F) {
+	f.Add([]byte{2, 'a', 'b', 0, 3, 'a', 'b', 0, 1, 0, 0, 2}, uint8(3))
+	f.Add([]byte("\x08prefix00\x00\x09prefix00a\x01\x08prefix00\x02"), uint8(2))
+	f.Add([]byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
+		nruns := int(k%8) + 1
+		runs := make([][]Record, nruns)
+		var all []Record
+		for seq := 0; len(data) > 0; seq++ {
+			n := min(int(data[0]%13), len(data)-1)
+			key := data[1 : 1+n]
+			data = data[1+n:]
+			r := 0
+			if len(data) > 0 {
+				r = int(data[0]) % nruns
+				data = data[1:]
+			}
+			rec := Record{Key: key, Value: []byte(fmt.Sprint(seq))}
+			runs[r] = append(runs[r], rec)
+			all = append(all, rec)
+		}
+		for _, c := range comparators {
+			checkSort(t, c.name, all, c.cmp, c.ref)
+			cp := make([][]Record, len(runs))
+			for i := range runs {
+				cp[i] = slices.Clone(runs[i])
+			}
+			checkMerge(t, c.name, cp, c.cmp, c.ref, -1)
+		}
+	})
+}

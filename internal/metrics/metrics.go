@@ -111,19 +111,29 @@ func NewCollector(cfg Config) *Collector {
 // taken synchronously, so activity after Start always lands in a delta.
 func (c *Collector) Start() {
 	start := time.Now()
-	prev := c.snapshot()
+	prev, last := c.snapshot(), start
 	go func() {
 		defer close(c.done)
 		ticker := time.NewTicker(c.interval)
 		defer ticker.Stop()
+		ticked := false
 		for {
 			select {
 			case <-c.stop:
+				// The partial interval since the last tick: without it a
+				// phase shorter than one interval would leave no sample.
+				// After a tick, a tail under half an interval is dropped:
+				// one block write divided by a few microseconds would
+				// print as a rate spike.
+				now := time.Now()
+				if dt := now.Sub(last); !ticked || dt >= c.interval/2 {
+					c.record(now.Sub(start), dt, prev, c.snapshot())
+				}
 				return
 			case now := <-ticker.C:
 				cur := c.snapshot()
-				c.record(now.Sub(start), prev, cur)
-				prev = cur
+				c.record(now.Sub(start), now.Sub(last), prev, cur)
+				prev, last, ticked = cur, now, true
 			}
 		}
 	}()
@@ -152,8 +162,9 @@ func (c *Collector) snapshot() snap {
 	return s
 }
 
-func (c *Collector) record(t time.Duration, prev, cur snap) {
-	iv := c.interval.Seconds()
+// record appends the sample for the interval of length dt ending at t.
+func (c *Collector) record(t, dt time.Duration, prev, cur snap) {
+	iv := max(dt, time.Microsecond).Seconds()
 	smp := Sample{
 		T:            t,
 		CPUPercent:   100 * (cur.busy - prev.busy).Seconds() / (iv * float64(c.cores)),
@@ -175,8 +186,12 @@ func (c *Collector) record(t time.Duration, prev, cur snap) {
 	c.mu.Unlock()
 }
 
-// Stop ends sampling and returns the collected series. It is safe to call
-// from multiple goroutines; every call returns the full series.
+// Stop ends sampling, records the final partial interval (unless it is
+// under half an interval and a tick already recorded a sample), and
+// returns the collected series — at least one sample, however short the
+// collection.
+// It is safe to call from multiple goroutines; every call returns the full
+// series.
 func (c *Collector) Stop() []Sample {
 	c.stopOnce.Do(func() { close(c.stop) })
 	<-c.done

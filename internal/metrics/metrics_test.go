@@ -132,6 +132,41 @@ func TestCollectorConcurrentStop(t *testing.T) {
 	wg.Wait()
 }
 
+// A collection shorter than one interval must still yield a sample: Stop
+// records the final partial interval (a phase of a job faster than the
+// 10 ms tick used to leave Fig. 13(b) without rows).
+func TestCollectorStopRecordsTail(t *testing.T) {
+	var busy BusyTracker
+	c := NewCollector(Config{Interval: time.Hour, Cores: 1, Busy: &busy})
+	c.Start()
+	busy.Add(time.Millisecond)
+	samples := c.Stop()
+	if len(samples) != 1 {
+		t.Fatalf("Start-then-Stop yielded %d samples, want 1", len(samples))
+	}
+	if samples[0].CPUPercent <= 0 {
+		t.Errorf("tail sample missed the busy time: %+v", samples[0])
+	}
+}
+
+// A short tail after a tick is dropped rather than recorded as a spike:
+// every sample after the first covers at least half an interval.
+func TestCollectorDropsShortTail(t *testing.T) {
+	const iv = 20 * time.Millisecond
+	c := NewCollector(Config{Interval: iv, Cores: 1})
+	c.Start()
+	time.Sleep(iv + iv/4)
+	samples := c.Stop()
+	if len(samples) == 0 {
+		t.Fatal("no samples")
+	}
+	for i := 1; i < len(samples); i++ {
+		if dt := samples[i].T - samples[i-1].T; dt < iv/2 {
+			t.Errorf("sample %d covers %v, want >= %v", i, dt, iv/2)
+		}
+	}
+}
+
 func TestCollectorStartStopRace(t *testing.T) {
 	// Stop racing the very first tick must neither panic nor deadlock.
 	for i := 0; i < 50; i++ {
