@@ -16,7 +16,7 @@
 //	benchsuite -regress [-quick] [-bench-out BENCH_shuffle.json]
 //	           [-against BENCH_shuffle.json] [-trace out.json]
 //	           [-prepare-workers N] [-merge-workers N]
-//	           [-coalesce-off] [-mux-off] [-shm-off] [-chunk-bytes N]
+//	           [-shm-off] [-chunk-bytes N]
 //
 // The streaming regression runs the resident-service comparison instead
 // (DataMPI StreamJob vs the internal S4 baseline, same paced windowed
@@ -51,8 +51,6 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	prepWorkers := flag.Int("prepare-workers", 0, "with -regress: shuffle prepare-pool width (0 = GOMAXPROCS)")
 	mergeWorkers := flag.Int("merge-workers", 0, "with -regress: A-side merge-pool width (0 = GOMAXPROCS)")
-	coalesceOff := flag.Bool("coalesce-off", false, "with -regress: disable transport send coalescing (flush per frame)")
-	muxOff := flag.Bool("mux-off", false, "with -regress: disable connection multiplexing (one conn per comm/rank/dest)")
 	shmOff := flag.Bool("shm-off", false, "with -regress: disable the shared-memory ring transport (shuffle/shm entries fall back to TCP)")
 	chunkBytes := flag.Int("chunk-bytes", 0, "with -regress: large-value chunk threshold for the shuffle-skew entry (0 = entry default)")
 	streamRegress := flag.Bool("stream-regress", false, "run the streaming-regression harness (DataMPI vs S4 windowed aggregation) instead of the experiments")
@@ -80,8 +78,6 @@ func main() {
 	if *regress {
 		o.PrepareWorkers = *prepWorkers
 		o.MergeWorkers = *mergeWorkers
-		o.CoalesceOff = *coalesceOff
-		o.MuxOff = *muxOff
 		o.ShmOff = *shmOff
 		o.ChunkBytes = *chunkBytes
 		runRegress(o, *quick, *benchOut, *against, *tracePath)

@@ -48,8 +48,8 @@
 //
 // # Options and cancellation
 //
-// Run is configured with RunOptions: WithTCPTransport / WithMemTransport
-// select the MPI data plane, WithProcessLaunch spawns real worker OS
+// Run is configured with RunOptions: WithTransport selects and tunes the
+// MPI data plane, WithProcessLaunch spawns real worker OS
 // processes and runs the data plane across them (pair it with
 // RunWorkerIfSpawned at the top of main), WithPrepareWorkers and
 // WithMergeWorkers size the shuffle pipelines (§IV-C), WithTrace streams
@@ -173,19 +173,45 @@ type RunOption func(*runConfig)
 // runConfig collects the option state RunContext applies around the core
 // runtime.
 type runConfig struct {
-	tcp              bool
-	shm              bool
-	proc             bool
-	procOutput       io.Writer
-	traceOut         io.Writer
-	counters         bool
-	prepareWorkers   int
-	mergeWorkers     int
-	coalesceBytes    int
-	coalesceDeadline time.Duration
-	drainTimeout     time.Duration
-	chunkBytes       int
-	maxFrameBytes    int
+	transport      TransportConfig
+	proc           bool
+	procOutput     io.Writer
+	traceOut       io.Writer
+	counters       bool
+	prepareWorkers int
+	mergeWorkers   int
+}
+
+// override sets *dst to v when v is positive; zero keeps *dst as set.
+func override[T int | time.Duration](dst *T, v T) {
+	if v > 0 {
+		*dst = v
+	}
+}
+
+// applyConf writes the options' nonzero pipeline and transport knobs into
+// conf, leaving the rest as the caller set them.
+func (rc *runConfig) applyConf(conf *Config) {
+	override(&conf.PrepareWorkers, rc.prepareWorkers)
+	override(&conf.MergeWorkers, rc.mergeWorkers)
+	t := &rc.transport
+	override(&conf.CoalesceBytes, t.CoalesceBytes)
+	override(&conf.CoalesceDeadline, t.CoalesceDeadline)
+	override(&conf.DrainTimeout, t.DrainTimeout)
+	override(&conf.ChunkBytes, t.ChunkBytes)
+	override(&conf.MaxFrameBytes, t.MaxFrameBytes)
+}
+
+// coreTransport returns the core option selecting the in-process
+// transport (none for the default in-memory channels).
+func (rc *runConfig) coreTransport() []core.RunOption {
+	switch rc.transport.Kind {
+	case TransportTCP:
+		return []core.RunOption{core.WithTCPTransport()}
+	case TransportShm:
+		return []core.RunOption{core.WithShmTransport()}
+	}
+	return nil
 }
 
 // TransportKind selects the MPI data plane of a run.
@@ -208,8 +234,9 @@ const (
 // TransportConfig consolidates every data-plane knob behind one option
 // (WithTransport): which transport carries the frames and how its
 // progress engine batches, drains, chunks and caps them. The zero value
-// of any field keeps the corresponding default (or whatever the matching
-// Config field already says), so callers set only what they mean.
+// of any knob field keeps the corresponding default (or whatever the
+// matching Config field already says), so callers set only what they
+// mean. Kind is always applied: its zero value is TransportMem.
 type TransportConfig struct {
 	// Kind selects the transport; the zero value is TransportMem.
 	Kind TransportKind
@@ -230,80 +257,29 @@ type TransportConfig struct {
 
 // WithTransport configures the MPI data plane from one place: transport
 // kind plus the progress-engine knobs. Nonzero knob fields override the
-// matching Config fields; zero fields leave them as set. It subsumes the
-// deprecated WithMemTransport / WithTCPTransport / WithShmTransport /
-// WithCoalesce / WithDrainTimeout options.
+// matching Config fields; zero fields leave them as set. When given more
+// than once, the last call wins: its Kind replaces the earlier one (a
+// zero Kind resets the run to TransportMem), and its nonzero knob fields
+// replace earlier values while its zero fields keep them.
 func WithTransport(tc TransportConfig) RunOption {
 	return func(c *runConfig) {
-		switch tc.Kind {
-		case TransportTCP:
-			c.tcp, c.shm = true, false
-		case TransportShm:
-			c.tcp, c.shm = true, true
-		default:
-			c.tcp, c.shm = false, false
-		}
-		if tc.CoalesceBytes > 0 {
-			c.coalesceBytes = tc.CoalesceBytes
-		}
-		if tc.CoalesceDeadline > 0 {
-			c.coalesceDeadline = tc.CoalesceDeadline
-		}
-		if tc.DrainTimeout > 0 {
-			c.drainTimeout = tc.DrainTimeout
-		}
-		if tc.ChunkBytes > 0 {
-			c.chunkBytes = tc.ChunkBytes
-		}
-		if tc.MaxFrameBytes > 0 {
-			c.maxFrameBytes = tc.MaxFrameBytes
-		}
+		t := &c.transport
+		t.Kind = tc.Kind
+		override(&t.CoalesceBytes, tc.CoalesceBytes)
+		override(&t.CoalesceDeadline, tc.CoalesceDeadline)
+		override(&t.DrainTimeout, tc.DrainTimeout)
+		override(&t.ChunkBytes, tc.ChunkBytes)
+		override(&t.MaxFrameBytes, tc.MaxFrameBytes)
 	}
 }
 
 // WithChunkBytes sets the large-value chunk threshold for the run: a
 // transport message above it travels as sequenced continuation frames,
 // and Context.SendValue streams values above it through the blob store in
-// chunks of this size (see Config.ChunkBytes; default 4 MiB). Equivalent
-// to WithTransport(TransportConfig{ChunkBytes: n}) preserving the
-// transport kind.
-func WithChunkBytes(n int) RunOption { return func(c *runConfig) { c.chunkBytes = n } }
-
-// WithMemTransport runs the MPI data plane over in-memory channels — the
-// default, made explicit so callers can spell out (or override) the
-// transport choice.
-//
-// Deprecated: Use WithTransport(TransportConfig{Kind: TransportMem}).
-func WithMemTransport() RunOption { return func(c *runConfig) { c.tcp, c.shm = false, false } }
-
-// WithTCPTransport runs the MPI data plane over real TCP loopback sockets
-// instead of in-memory channels.
-//
-// Deprecated: Use WithTransport(TransportConfig{Kind: TransportTCP}).
-func WithTCPTransport() RunOption { return func(c *runConfig) { c.tcp, c.shm = true, false } }
-
-// WithShmTransport runs the MPI data plane over the TCP transport with
-// the same-host shared-memory ring transport enabled.
-//
-// Deprecated: Use WithTransport(TransportConfig{Kind: TransportShm}).
-func WithShmTransport() RunOption { return func(c *runConfig) { c.tcp, c.shm = true, true } }
-
-// WithCoalesce tunes the progress engine's send batching (see
-// Config.CoalesceBytes / Config.CoalesceDeadline).
-//
-// Deprecated: Use WithTransport(TransportConfig{CoalesceBytes: bytes,
-// CoalesceDeadline: deadline}).
-func WithCoalesce(bytes int, deadline time.Duration) RunOption {
-	return func(c *runConfig) { c.coalesceBytes, c.coalesceDeadline = bytes, deadline }
-}
-
-// WithDrainTimeout bounds the transport's close-time drain barrier (see
-// Config.DrainTimeout).
-//
-// Deprecated: Use WithTransport(TransportConfig{DrainTimeout: d}).
-func WithDrainTimeout(d time.Duration) RunOption {
-	return func(c *runConfig) { c.drainTimeout = d }
-}
+// chunks of this size (see Config.ChunkBytes; default 4 MiB). It sets
+// only the threshold: unlike WithTransport(TransportConfig{ChunkBytes:
+// n}), it leaves the transport kind as an earlier WithTransport chose it.
+func WithChunkBytes(n int) RunOption { return func(c *runConfig) { c.transport.ChunkBytes = n } }
 
 // WithProcessLaunch makes Run a true launcher (§IV-B): it spawns
 // Job.Procs worker OS processes (re-executions of this binary), completes
@@ -373,33 +349,13 @@ func RunContext(ctx context.Context, job *Job, opts ...RunOption) (*Result, erro
 	for _, o := range opts {
 		o(&rc)
 	}
-	if rc.prepareWorkers > 0 {
-		job.Conf.PrepareWorkers = rc.prepareWorkers
-	}
-	if rc.mergeWorkers > 0 {
-		job.Conf.MergeWorkers = rc.mergeWorkers
-	}
-	if rc.coalesceBytes > 0 {
-		job.Conf.CoalesceBytes = rc.coalesceBytes
-	}
-	if rc.coalesceDeadline > 0 {
-		job.Conf.CoalesceDeadline = rc.coalesceDeadline
-	}
-	if rc.drainTimeout > 0 {
-		job.Conf.DrainTimeout = rc.drainTimeout
-	}
-	if rc.chunkBytes > 0 {
-		job.Conf.ChunkBytes = rc.chunkBytes
-	}
-	if rc.maxFrameBytes > 0 {
-		job.Conf.MaxFrameBytes = rc.maxFrameBytes
-	}
+	rc.applyConf(&job.Conf)
 	var tr *trace.Tracer
 	if rc.traceOut != nil && job.Trace == nil {
 		tr = trace.New()
 		job.Trace = tr
 	}
-	var copts []core.RunOption
+	copts := rc.coreTransport()
 	var cluster *launch.Cluster
 	if rc.proc {
 		if job.Conf.IOTimeout <= 0 {
@@ -409,8 +365,6 @@ func RunContext(ctx context.Context, job *Job, opts ...RunOption) (*Result, erro
 			Procs:            job.Procs,
 			IOTimeout:        job.Conf.IOTimeout,
 			Output:           rc.procOutput,
-			CoalesceOff:      job.Conf.CoalesceOff,
-			MuxOff:           job.Conf.MuxOff,
 			CoalesceBytes:    job.Conf.CoalesceBytes,
 			CoalesceDeadline: job.Conf.CoalesceDeadline,
 			ShmOff:           job.Conf.ShmOff,
@@ -422,11 +376,7 @@ func RunContext(ctx context.Context, job *Job, opts ...RunOption) (*Result, erro
 			return nil, &RunError{Phase: "launch", Rank: -1, Err: cerr}
 		}
 		cluster = cl
-		copts = append(copts, core.WithWorld(cl.World()))
-	} else if rc.shm {
-		copts = append(copts, core.WithShmTransport())
-	} else if rc.tcp {
-		copts = append(copts, core.WithTCPTransport())
+		copts = []core.RunOption{core.WithWorld(cl.World())}
 	}
 	res, err := core.RunContext(ctx, job, copts...)
 	if cluster != nil {
@@ -497,34 +447,8 @@ func RunStream(sj *StreamJob, opts ...RunOption) (*StreamHandle, error) {
 		return nil, &RunError{Phase: "launch", Rank: -1,
 			Err: errors.New("WithProcessLaunch is not supported by RunStream; use the launch package's streaming JobSpec")}
 	}
-	if rc.prepareWorkers > 0 {
-		sj.Conf.PrepareWorkers = rc.prepareWorkers
-	}
-	if rc.mergeWorkers > 0 {
-		sj.Conf.MergeWorkers = rc.mergeWorkers
-	}
-	if rc.coalesceBytes > 0 {
-		sj.Conf.CoalesceBytes = rc.coalesceBytes
-	}
-	if rc.coalesceDeadline > 0 {
-		sj.Conf.CoalesceDeadline = rc.coalesceDeadline
-	}
-	if rc.drainTimeout > 0 {
-		sj.Conf.DrainTimeout = rc.drainTimeout
-	}
-	if rc.chunkBytes > 0 {
-		sj.Conf.ChunkBytes = rc.chunkBytes
-	}
-	if rc.maxFrameBytes > 0 {
-		sj.Conf.MaxFrameBytes = rc.maxFrameBytes
-	}
-	var copts []core.RunOption
-	if rc.shm {
-		copts = append(copts, core.WithShmTransport())
-	} else if rc.tcp {
-		copts = append(copts, core.WithTCPTransport())
-	}
-	return core.RunStream(sj, copts...)
+	rc.applyConf(&sj.Conf)
+	return core.RunStream(sj, rc.coreTransport()...)
 }
 
 // SplitsForTask is the utility function of §IV-B: it returns the HDFS

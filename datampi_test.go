@@ -100,7 +100,7 @@ func TestPublicAPICommonSort(t *testing.T) {
 			}
 		},
 	}
-	if _, err := datampi.Run(job, datampi.WithTCPTransport()); err != nil {
+	if _, err := datampi.Run(job, datampi.WithTransport(datampi.TransportConfig{Kind: datampi.TransportTCP})); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(in) || !sort.StringsAreSorted(got) {
@@ -226,7 +226,7 @@ func TestRunOptionsObservability(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	res, err = datampi.Run(mkJob(),
-		datampi.WithMemTransport(),
+		datampi.WithTransport(datampi.TransportConfig{Kind: datampi.TransportMem}),
 		datampi.WithCounters(),
 		datampi.WithTrace(&buf),
 		datampi.WithPrepareWorkers(2),
@@ -254,6 +254,43 @@ func TestRunOptionsObservability(t *testing.T) {
 		if !names[want] {
 			t.Errorf("trace missing %q span", want)
 		}
+	}
+}
+
+// TestWithTransportLastCallWins pins the transport-option contract:
+// WithChunkBytes after WithTransport keeps the chosen kind, while a second
+// WithTransport replaces it (a zero Kind is TransportMem) and keeps the
+// earlier call's knobs where its own are zero.
+func TestWithTransportLastCallWins(t *testing.T) {
+	tcp := datampi.WithTransport(datampi.TransportConfig{Kind: datampi.TransportTCP, DrainTimeout: 3 * time.Second})
+	for _, tc := range []struct {
+		name    string
+		opts    []datampi.RunOption
+		wantTCP bool
+	}{
+		{"tcp-then-chunk-bytes", []datampi.RunOption{tcp, datampi.WithChunkBytes(8 << 10)}, true},
+		{"tcp-then-zero-kind", []datampi.RunOption{tcp, datampi.WithTransport(datampi.TransportConfig{ChunkBytes: 8 << 10})}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			job := &datampi.Job{
+				Mode: datampi.MapReduce,
+				NumO: 2, NumA: 2, Procs: 2,
+				OTask: func(c *datampi.Context) error {
+					return c.Send(fmt.Sprintf("k%d", c.Rank()), "v")
+				},
+				ATask: drainGroups,
+			}
+			res, err := datampi.Run(job, append(tc.opts, datampi.WithCounters())...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dials := res.RuntimeCounters["mpi.dials"]; (dials > 0) != tc.wantTCP {
+				t.Errorf("mpi.dials = %d, want TCP=%v", dials, tc.wantTCP)
+			}
+			if job.Conf.ChunkBytes != 8<<10 || job.Conf.DrainTimeout != 3*time.Second {
+				t.Errorf("ChunkBytes = %d, DrainTimeout = %v; want 8192 and 3s", job.Conf.ChunkBytes, job.Conf.DrainTimeout)
+			}
+		})
 	}
 }
 

@@ -202,9 +202,7 @@ func ExampleContext_SendValue() {
 }
 
 // ExampleWithTransport configures the whole data plane in one option:
-// transport kind plus the progress-engine knobs that used to be spread
-// over WithMemTransport/WithTCPTransport/WithShmTransport/WithCoalesce/
-// WithDrainTimeout.
+// transport kind plus the progress-engine knobs.
 func ExampleWithTransport() {
 	job := &datampi.Job{
 		Mode: datampi.MapReduce,

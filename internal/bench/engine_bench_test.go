@@ -6,10 +6,10 @@ import (
 	"datampi/internal/core"
 )
 
-// Progress-engine A/B benchmarks: the same TCP shuffle under the engine
-// and its ablations, runnable interleaved (-count=N) so machine drift
-// does not masquerade as an engine effect the way two separate
-// benchsuite processes can.
+// Link A/B benchmark: the same shuffle over loopback TCP and over shm
+// rings, runnable interleaved (-count=N) so machine drift does not
+// masquerade as a link effect the way two separate benchsuite processes
+// can.
 func BenchmarkShuffleTCP(b *testing.B) {
 	const records = 4000
 	for _, c := range []struct {
@@ -17,9 +17,6 @@ func BenchmarkShuffleTCP(b *testing.B) {
 		knobs shuffleKnobs
 	}{
 		{"engine-on", shuffleKnobs{tcp: true}},
-		{"coalesce-off", shuffleKnobs{tcp: true, coalesceOff: true}},
-		{"mux-off", shuffleKnobs{tcp: true, muxOff: true}},
-		{"engine-off", shuffleKnobs{tcp: true, coalesceOff: true, muxOff: true}},
 		{"shm", shuffleKnobs{tcp: true, shm: true}},
 	} {
 		b.Run(c.name, func(b *testing.B) {

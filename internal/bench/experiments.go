@@ -28,12 +28,6 @@ type Opts struct {
 	// MergeWorkers overrides the A-side merge-pool width for the
 	// regression harness (0 = the runtime default, GOMAXPROCS).
 	MergeWorkers int
-	// CoalesceOff / MuxOff run the regression harness under the transport
-	// progress-engine ablations: flush-per-frame sends and
-	// connection-per-(comm,rank,dst) instead of coalesced batches over one
-	// multiplexed conn per peer.
-	CoalesceOff bool
-	MuxOff      bool
 	// ShmOff disables the shared-memory ring transport everywhere in the
 	// harness, turning the shuffle/shm entries into TCP baselines.
 	ShmOff bool

@@ -46,15 +46,13 @@ type RegressReport struct {
 }
 
 // shuffleKnobs selects a shuffle benchmark's transport configuration:
-// mem vs TCP, the progress-engine ablations, and the shared-memory ring
-// transport (shm requires tcp; shmOff wins over shm, so a fleet-wide
-// -shm-off run turns the shuffle/shm entry into a second TCP baseline).
+// mem vs TCP, and the shared-memory ring transport (shm requires tcp;
+// shmOff wins over shm, so a fleet-wide -shm-off run turns the
+// shuffle/shm entry into a second TCP baseline).
 type shuffleKnobs struct {
-	tcp         bool
-	coalesceOff bool
-	muxOff      bool
-	shm         bool
-	shmOff      bool
+	tcp    bool
+	shm    bool
+	shmOff bool
 }
 
 // shuffleJob builds a synthetic pure-shuffle run: O tasks emit records
@@ -77,8 +75,6 @@ func shuffleJob(records, prepWorkers, mergeWorkers int, k shuffleKnobs, res **co
 				ValueCodec:     kv.Int64,
 				PrepareWorkers: prepWorkers,
 				MergeWorkers:   mergeWorkers,
-				CoalesceOff:    k.coalesceOff,
-				MuxOff:         k.muxOff,
 				Shm:            k.shm,
 				ShmOff:         k.shmOff,
 			},
@@ -124,11 +120,9 @@ func shuffleJob(records, prepWorkers, mergeWorkers int, k shuffleKnobs, res **co
 // path: a wide key space defeats the combiner, small (64-byte) values keep
 // the cost per byte record-bound, and a small memory cache forces the
 // Receive Partition List to spill and the background compactor to fold
-// on-disk runs. The O
-// side is deliberately cheap — pre-encoded keys, one shared value buffer
-// — so the serial-vs-pipeline delta isolates the merge pool (the
-// ASidePipelineOff ablation entry is the denominator).
-func aheavyJob(records, mergeWorkers int, serial bool, disks []*diskio.Disk, res **core.Result) func() error {
+// on-disk runs. The O side is deliberately cheap — pre-encoded keys, one
+// shared value buffer — so the timing isolates the merge pool.
+func aheavyJob(records, mergeWorkers int, disks []*diskio.Disk, res **core.Result) func() error {
 	keys := make([][]byte, 2048)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%05d", i))
@@ -142,9 +136,8 @@ func aheavyJob(records, mergeWorkers int, serial bool, disks []*diskio.Disk, res
 			Name: "shuffle-aheavy",
 			Mode: core.MapReduce,
 			Conf: core.Config{
-				ValueCodec:       kv.Bytes,
-				MergeWorkers:     mergeWorkers,
-				ASidePipelineOff: serial,
+				ValueCodec:   kv.Bytes,
+				MergeWorkers: mergeWorkers,
 				// Fig. 12's near-zero-cache regime: almost every received
 				// frame spills, so the receive path is merge/spill-bound.
 				MemCacheBytes: 16 << 10,
@@ -278,7 +271,7 @@ func skewJob(valueBytes int64, valsPerTask, chunkBytes int, res **core.Result) f
 // checkpointing enabled (§IV-E): same record stream as shuffleJob, plus a
 // chunk dir that is wiped on every iteration so a clean run never reloads
 // the previous iteration's chunks.
-func ftShuffleJob(records int, dir string, asyncOff bool, crashAfter int64, res **core.Result) func() error {
+func ftShuffleJob(records int, dir string, crashAfter int64, res **core.Result) func() error {
 	keys := make([][]byte, 257)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%04d", i))
@@ -297,7 +290,6 @@ func ftShuffleJob(records int, dir string, asyncOff bool, crashAfter int64, res 
 				FaultTolerance:           true,
 				CheckpointDir:            dir,
 				CheckpointRecords:        int64(records) / 4,
-				AsyncCheckpointOff:       asyncOff,
 				InjectFailAfterCPRecords: crashAfter,
 			},
 			NumO: 4, NumA: 2, Procs: 2, Slots: 2,
@@ -376,34 +368,13 @@ func Regress(o Opts, quick bool, tr *trace.Tracer) (*RegressReport, error) {
 	if quick {
 		shuffleRecords = 4000
 	}
-	base := shuffleKnobs{coalesceOff: o.CoalesceOff, muxOff: o.MuxOff}
 	var sres *core.Result
-	if err := add("shuffle/mem", &sres, shuffleJob(shuffleRecords, o.PrepareWorkers, o.MergeWorkers, base, &sres)); err != nil {
+	if err := add("shuffle/mem", &sres, shuffleJob(shuffleRecords, o.PrepareWorkers, o.MergeWorkers, shuffleKnobs{}, &sres)); err != nil {
 		return nil, err
 	}
-	tcpKnobs := base
-	tcpKnobs.tcp = true
+	tcpKnobs := shuffleKnobs{tcp: true}
 	var tres *core.Result
 	if err := add("shuffle/tcp", &tres, shuffleJob(shuffleRecords, o.PrepareWorkers, o.MergeWorkers, tcpKnobs, &tres)); err != nil {
-		return nil, err
-	}
-
-	// Progress-engine ablation pair: the same TCP shuffle with coalescing
-	// off (flush per frame) and with multiplexing off (one conn per
-	// (comm, rank, dst) triple). Their ns/op against shuffle/tcp is the
-	// engine's measured win; their job counters must match it exactly.
-	coKnobs := tcpKnobs
-	coKnobs.coalesceOff = true
-	var tcoff *core.Result
-	if err := add("shuffle/tcp-coalesce-off", &tcoff,
-		shuffleJob(shuffleRecords, o.PrepareWorkers, o.MergeWorkers, coKnobs, &tcoff)); err != nil {
-		return nil, err
-	}
-	moKnobs := tcpKnobs
-	moKnobs.muxOff = true
-	var tmoff *core.Result
-	if err := add("shuffle/tcp-mux-off", &tmoff,
-		shuffleJob(shuffleRecords, o.PrepareWorkers, o.MergeWorkers, moKnobs, &tmoff)); err != nil {
 		return nil, err
 	}
 
@@ -447,9 +418,8 @@ func Regress(o Opts, quick bool, tr *trace.Tracer) (*RegressReport, error) {
 		return nil, err
 	}
 
-	// The A-heavy pair: the same spill-bound merge workload with the merge
-	// pool on (the configured width) and under the serial ablation, so the
-	// snapshot records the pipeline's win directly.
+	// The A-heavy entry: a spill-bound merge workload through the merge
+	// pool at the configured width.
 	spillRoot, err := os.MkdirTemp("", "dmpi-bench-spill-")
 	if err != nil {
 		return nil, err
@@ -469,21 +439,13 @@ func Regress(o Opts, quick bool, tr *trace.Tracer) (*RegressReport, error) {
 	}
 	var ares *core.Result
 	if err := add("shuffle-aheavy/mem", &ares,
-		aheavyJob(aheavyRecords, o.MergeWorkers, false, disks, &ares)); err != nil {
-		return nil, err
-	}
-	var aser *core.Result
-	if err := add("shuffle-aheavy/serial", &aser,
-		aheavyJob(aheavyRecords, o.MergeWorkers, true, disks, &aser)); err != nil {
+		aheavyJob(aheavyRecords, o.MergeWorkers, disks, &ares)); err != nil {
 		return nil, err
 	}
 
-	// The checkpoint trio: the same mem shuffle with checkpointing off,
-	// with the default double-buffered async committer, and under the
-	// synchronous-commit ablation. The async/off ns delta is the
-	// checkpoint overhead the background committer is meant to keep small;
-	// it is stamped on the async and sync entries as cp.overhead.bp
-	// (basis points vs the off entry, 100 bp = 1%).
+	// The checkpoint pair: the same mem shuffle with checkpointing off and
+	// with the background committer. The async/off ns delta is the
+	// checkpoint overhead, stamped on the async entry as cp.overhead.bp.
 	cpRoot, err := os.MkdirTemp("", "dmpi-bench-cp-")
 	if err != nil {
 		return nil, err
@@ -495,24 +457,10 @@ func Regress(o Opts, quick bool, tr *trace.Tracer) (*RegressReport, error) {
 	}
 	var casync *core.Result
 	if err := add("checkpoint/async", &casync,
-		ftShuffleJob(shuffleRecords, filepath.Join(cpRoot, "async"), false, 0, &casync)); err != nil {
+		ftShuffleJob(shuffleRecords, filepath.Join(cpRoot, "async"), 0, &casync)); err != nil {
 		return nil, err
 	}
-	var csync *core.Result
-	if err := add("checkpoint/sync", &csync,
-		ftShuffleJob(shuffleRecords, filepath.Join(cpRoot, "sync"), true, 0, &csync)); err != nil {
-		return nil, err
-	}
-	offNs := rep.Entries[len(rep.Entries)-3].NsPerOp
-	for i := len(rep.Entries) - 2; i < len(rep.Entries); i++ {
-		e := &rep.Entries[i]
-		if e.Counters == nil {
-			e.Counters = map[string]int64{}
-		}
-		if offNs > 0 {
-			e.Counters["cp.overhead.bp"] = 10000 * (e.NsPerOp - offNs) / offNs
-		}
-	}
+	stampCheckpointOverhead(rep.Entries)
 
 	// Recovery measurement (single shot, not a timed loop): crash the
 	// checkpointed shuffle once roughly half its records are durable, then
@@ -522,12 +470,12 @@ func Regress(o Opts, quick bool, tr *trace.Tracer) (*RegressReport, error) {
 	rdir := filepath.Join(cpRoot, "recovery")
 	totalRecords := int64(4 * shuffleRecords)
 	var rres *core.Result
-	if err := ftShuffleJob(shuffleRecords, rdir, false, totalRecords/2, &rres)(); !errors.Is(err, core.ErrInjectedFailure) {
+	if err := ftShuffleJob(shuffleRecords, rdir, totalRecords/2, &rres)(); !errors.Is(err, core.ErrInjectedFailure) {
 		return nil, fmt.Errorf("bench: checkpoint/recovery crash run: %v", err)
 	}
 	rstart := time.Now()
 	var rec *core.Result
-	if err := ftShuffleJob(shuffleRecords, rdir, false, -1, &rec)(); err != nil {
+	if err := ftShuffleJob(shuffleRecords, rdir, -1, &rec)(); err != nil {
 		return nil, fmt.Errorf("bench: checkpoint/recovery rerun: %w", err)
 	}
 	recoveryNs := time.Since(rstart).Nanoseconds()
@@ -582,6 +530,29 @@ func Regress(o Opts, quick bool, tr *trace.Tracer) (*RegressReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// stampCheckpointOverhead records the checkpoint overhead on the
+// checkpoint/async entry as cp.overhead.bp: its ns/op in basis points
+// over the checkpoint/off entry (100 bp = 1%). Entries are found by
+// name; without both, or with a zero baseline, nothing is stamped.
+func stampCheckpointOverhead(entries []RegressEntry) {
+	var off, async *RegressEntry
+	for i := range entries {
+		switch entries[i].Name {
+		case "checkpoint/off":
+			off = &entries[i]
+		case "checkpoint/async":
+			async = &entries[i]
+		}
+	}
+	if off == nil || async == nil || off.NsPerOp <= 0 {
+		return
+	}
+	if async.Counters == nil {
+		async.Counters = map[string]int64{}
+	}
+	async.Counters["cp.overhead.bp"] = 10000 * (async.NsPerOp - off.NsPerOp) / off.NsPerOp
 }
 
 // WriteRegress writes the snapshot as indented JSON.

@@ -7,12 +7,9 @@ import (
 	"datampi/internal/diskio"
 )
 
-// go test -bench AHeavy ./internal/bench compares the A-side merge
-// pipeline against its serial ablation on the same workload the regress
-// harness snapshots; the same numbers land in BENCH_shuffle.json as
-// shuffle-aheavy/{mem,serial}.
-
-func benchAHeavy(b *testing.B, serial bool) {
+// go test -bench AHeavy ./internal/bench times the A-side merge pipeline
+// on the same workload the regress harness snapshots as shuffle-aheavy/mem.
+func BenchmarkAHeavy(b *testing.B) {
 	disks := make([]*diskio.Disk, 2)
 	for i := range disks {
 		d, err := diskio.New(b.TempDir())
@@ -22,7 +19,7 @@ func benchAHeavy(b *testing.B, serial bool) {
 		disks[i] = d
 	}
 	var res *core.Result
-	fn := aheavyJob(3000, 0, serial, disks, &res)
+	fn := aheavyJob(3000, 0, disks, &res)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -31,6 +28,3 @@ func benchAHeavy(b *testing.B, serial bool) {
 		}
 	}
 }
-
-func BenchmarkAHeavyPipeline(b *testing.B) { benchAHeavy(b, false) }
-func BenchmarkAHeavySerial(b *testing.B)   { benchAHeavy(b, true) }

@@ -54,3 +54,27 @@ func TestCompareRegressFlagsCounterDrift(t *testing.T) {
 		t.Errorf("new benchmark not reported: %s", joined)
 	}
 }
+
+// TestStampCheckpointOverhead pins the cp.overhead.bp stamp to its two
+// named entries: it lands on checkpoint/async only, in basis points over
+// checkpoint/off, wherever the entries sit in the report.
+func TestStampCheckpointOverhead(t *testing.T) {
+	entries := []RegressEntry{
+		{Name: "checkpoint/off", NsPerOp: 2000},
+		{Name: "shuffle-aheavy/mem", NsPerOp: 9000},
+		{Name: "checkpoint/async", NsPerOp: 2300, Counters: map[string]int64{"checkpoint.chunks": 8}},
+		{Name: "checkpoint/recovery", NsPerOp: 5000},
+	}
+	stampCheckpointOverhead(entries)
+	if got := entries[2].Counters["cp.overhead.bp"]; got != 1500 {
+		t.Errorf("checkpoint/async cp.overhead.bp = %d, want 1500 (15%% over checkpoint/off)", got)
+	}
+	if entries[2].Counters["checkpoint.chunks"] != 8 {
+		t.Error("stamping dropped the entry's existing counters")
+	}
+	for _, i := range []int{0, 1, 3} {
+		if _, ok := entries[i].Counters["cp.overhead.bp"]; ok {
+			t.Errorf("%s was stamped; only checkpoint/async may carry cp.overhead.bp", entries[i].Name)
+		}
+	}
+}

@@ -22,12 +22,10 @@ import (
 // complete chunk — re-injecting the data into the shuffle without
 // recomputation — and tasks skip that many input records.
 //
-// Commit runs in one of two modes. Synchronous commit appends each sealed
-// frame to the chunk file inline on the transmit path. Asynchronous commit
-// (the default under fault tolerance) hands whole checkpoint rounds to a
-// background committer goroutine through a depth-one queue: one batch can
-// be queued while another is being written, so the shuffle pipeline only
-// blocks on disk when both buffers are in flight.
+// The transmit path hands whole checkpoint rounds to a background
+// committer goroutine through a depth-one queue: one batch can be queued
+// while another is being written, so the shuffle pipeline only blocks on
+// disk when both buffers are in flight.
 
 // cpChunk is one complete checkpoint chunk on disk. The file holds a
 // sequence of [u32 len | payload] entries (payload = partition-framed

@@ -136,16 +136,8 @@ type Config struct {
 	// merge-thread workers decode, count and merge received runs into the
 	// Receive Partition List concurrently (§IV-C's merge thread kind).
 	// <= 0 selects GOMAXPROCS. 1 keeps a single (still asynchronous)
-	// merge worker; ASidePipelineOff bypasses the pipeline entirely.
+	// merge worker.
 	MergeWorkers int
-
-	// ASidePipelineOff restores the pre-pipeline serial A-side path
-	// (ablation, §IV-C): received runs are merged inline on the receive
-	// goroutine (so reception cannot overlap with merging or spilling),
-	// run merges materialize every in-memory run into a []Record up
-	// front, and spill writes go to disk one record per syscall. The A/B
-	// against the default quantifies the whole merge-pipeline overhaul.
-	ASidePipelineOff bool
 
 	// SpillCompactFanIn is how many on-disk spill runs a partition may
 	// accumulate before a background compaction k-way merges them into a
@@ -165,20 +157,6 @@ type Config struct {
 	// to reproduce Fig. 13(a), where the job is killed "when DataMPI has
 	// persisted different sizes of checkpoints".
 	InjectFailAfterCPRecords int64
-
-	// CoalesceOff disables the TCP transport's send progress engine
-	// (ablation): every frame is written synchronously in its own vectored
-	// write, the pre-engine flush-per-frame behaviour. With the default
-	// engine, sends deposit frames into a per-connection batch that a
-	// writer goroutine drains in single vectored writes; job counters are
-	// byte-identical either way — only the mpi.* wire counters may differ.
-	CoalesceOff bool
-
-	// MuxOff disables the TCP transport's connection multiplexing
-	// (ablation): each (communicator, sender rank, destination) triple
-	// dials its own connection, the pre-engine O(comms·ranks) socket
-	// layout, instead of all streams toward a destination sharing one.
-	MuxOff bool
 
 	// Shm opts an in-process TCP world into the shared-memory ring
 	// transport: every rank pair (trivially same-host) moves its batches
@@ -223,14 +201,6 @@ type Config struct {
 	// they are chunked — so the cap bounds frames, not messages. Zero
 	// keeps the absolute bound.
 	MaxFrameBytes int
-
-	// AsyncCheckpointOff disables the double-buffered asynchronous
-	// checkpoint committer (ablation): chunk appends and seals run inline
-	// on the transmit path, as the pre-async implementation did. With the
-	// default async commit, sealed checkpoint rounds are written by a
-	// background goroutine and the shuffle pipeline only blocks on disk
-	// when both commit buffers are in flight.
-	AsyncCheckpointOff bool
 
 	// PartialRestart enables per-rank recovery in distributed runs: when a
 	// worker process dies mid-shuffle, the master respawns only that rank,

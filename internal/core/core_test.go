@@ -376,16 +376,6 @@ func TestOSidePipelineOffAblation(t *testing.T) {
 	checkCounts(t, &out, wantCounts(testDocs))
 }
 
-func TestASidePipelineOffAblation(t *testing.T) {
-	var out collector
-	job := wordCountJob(testDocs, 3, 2, &out)
-	job.Conf.ASidePipelineOff = true
-	if _, err := Run(job); err != nil {
-		t.Fatal(err)
-	}
-	checkCounts(t, &out, wantCounts(testDocs))
-}
-
 func TestTaskErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
 	job := &Job{

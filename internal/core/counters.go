@@ -46,16 +46,16 @@ type runtimeCounters struct {
 
 	fetchBytesServed atomic.Int64 // ablation path: bytes served to remote fetches
 
-	streamEventsIn        atomic.Int64 // records emitted by streaming sources (post-skip)
-	streamEventsOut       atomic.Int64 // records consumed from stream channels
-	streamCreditsGranted  atomic.Int64 // record credits granted back to senders
-	streamCreditStalls    atomic.Int64 // transmit waits caused by an empty credit window
-	streamMaxOutstanding  atomic.Int64 // max unacknowledged records on any (src,dst) pair
-	streamLateDropped     atomic.Int64 // events older than a fired window (late policy: drop)
-	streamWindowsFired    atomic.Int64 // windows emitted by watermark advancement
-	streamWindowsFenced   atomic.Int64 // windows suppressed by an emit fence after restart
-	streamStateSpills     atomic.Int64 // open windows spilled to disk under MemCacheBytes
-	streamFramesAfterEOS  atomic.Int64 // frames discarded after stream close (reorder chaos)
+	streamEventsIn       atomic.Int64 // records emitted by streaming sources (post-skip)
+	streamEventsOut      atomic.Int64 // records consumed from stream channels
+	streamCreditsGranted atomic.Int64 // record credits granted back to senders
+	streamCreditStalls   atomic.Int64 // transmit waits caused by an empty credit window
+	streamMaxOutstanding atomic.Int64 // max unacknowledged records on any (src,dst) pair
+	streamLateDropped    atomic.Int64 // events older than a fired window (late policy: drop)
+	streamWindowsFired   atomic.Int64 // windows emitted by watermark advancement
+	streamWindowsFenced  atomic.Int64 // windows suppressed by an emit fence after restart
+	streamStateSpills    atomic.Int64 // open windows spilled to disk under MemCacheBytes
+	streamFramesAfterEOS atomic.Int64 // frames discarded after stream close (reorder chaos)
 
 	blobValuesSent atomic.Int64 // oversized values streamed by SendValue
 	blobChunksSent atomic.Int64 // blob continuation frames transmitted
@@ -201,8 +201,8 @@ func (rc *runtimeCounters) snapshot(ws mpi.Stats) map[string]int64 {
 	out["mpi.send.retries"] = ws.SendRetries
 	out["mpi.dials"] = ws.Dials
 	// Progress-engine wire counters appear only when nonzero, so mem-
-	// transport runs (and the CoalesceOff/MuxOff ablations where a meter
-	// never fires) keep an identical counter set.
+	// transport runs (and TCP runs where a meter never fires) keep an
+	// identical counter set.
 	if ws.CoalesceBatches != 0 {
 		out["mpi.coalesce.batches"] = ws.CoalesceBatches
 	}

@@ -11,23 +11,20 @@ import (
 )
 
 // Counter-identity battery for the transport progress engine: the same
-// seeded workload runs under {engine on, CoalesceOff, MuxOff, both off,
-// aggressively tuned coalescing} and the job-level RuntimeCounters must
-// be byte-identical across all variants — batching, vectored writes, and
-// connection multiplexing may only change *wire* behaviour (the mpi.*
-// keys), never what the application sent, combined, or received.
+// seeded workload runs under {engine defaults, aggressively tuned
+// coalescing, shm rings, shm off} and the job-level RuntimeCounters must
+// be byte-identical across all variants — batching, vectored writes and
+// the link under them may only change *wire* behaviour (the mpi.* keys),
+// never what the application sent, combined, or received.
 
-// engineVariants are the progress-engine ablation points proven
-// counter-identical. "tuned" forces tiny size-triggered batches so the
-// coalescing path actually fires even on small workloads.
+// engineVariants are the engine configurations proven counter-identical.
+// "tuned" forces tiny size-triggered batches so the coalescing path
+// actually fires even on small workloads.
 var engineVariants = []struct {
 	name string
 	tune func(*Config)
 }{
 	{"engine-on", func(*Config) {}},
-	{"coalesce-off", func(c *Config) { c.CoalesceOff = true }},
-	{"mux-off", func(c *Config) { c.MuxOff = true }},
-	{"engine-off", func(c *Config) { c.CoalesceOff = true; c.MuxOff = true }},
 	{"tuned", func(c *Config) { c.CoalesceBytes = 256; c.CoalesceDeadline = time.Millisecond }},
 	// Same-host rings and the ShmOff ablation: the transport under the
 	// batches changes, the application-visible counters must not.

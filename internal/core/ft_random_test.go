@@ -100,8 +100,7 @@ func TestDoubleCrashRecovery(t *testing.T) {
 // TestCrashRecoveryMatrix pins recovery exactness across the failure
 // surface: a kill at each pipeline stage (before any commit, inside a
 // commit's torn window, after records are durable, and a rank death while
-// merging), on both transports, under both commit modes. Whatever the
-// crash point, a recovery run over the same checkpoint directory must
+// merging), on both transports. Whatever the crash point, a recovery run over the same checkpoint directory must
 // produce exactly the clean run's counts — no duplicated and no lost
 // records.
 func TestCrashRecoveryMatrix(t *testing.T) {
@@ -145,49 +144,37 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 		{"mem", nil},
 		{"tcp", []RunOption{WithTCPTransport()}},
 	}
-	modes := []struct {
-		name     string
-		asyncOff bool
-	}{
-		{"async", false},
-		{"sync", true},
-	}
-
 	for _, k := range kills {
 		for _, tr := range transports {
-			for _, m := range modes {
-				t.Run(k.name+"_"+tr.name+"_"+m.name, func(t *testing.T) {
-					dir := t.TempDir()
-					var out1 collector
-					job1 := wordCountJob(docs, 3, 2, &out1)
-					job1.Conf.FaultTolerance = true
-					job1.Conf.CheckpointDir = dir
-					job1.Conf.CheckpointRecords = 64
-					job1.Conf.AsyncCheckpointOff = m.asyncOff
-					k.arm(job1)
-					_, err := Run(job1, tr.opts...)
-					if err == nil {
-						// The crash point can outrun the run (e.g. the torn
-						// commit count never reached): a clean finish is
-						// acceptable, but must already be exact.
-						checkCounts(t, &out1, want)
-						return
-					}
-					if k.injected && !errors.Is(err, ErrInjectedFailure) {
-						t.Fatalf("unexpected failure: %v", err)
-					}
-					var out2 collector
-					job2 := wordCountJob(docs, 3, 2, &out2)
-					job2.Conf.FaultTolerance = true
-					job2.Conf.CheckpointDir = dir
-					job2.Conf.CheckpointRecords = 64
-					job2.Conf.AsyncCheckpointOff = m.asyncOff
-					if _, err := Run(job2, tr.opts...); err != nil {
-						t.Fatal(err)
-					}
-					checkCounts(t, &out2, want)
-				})
-			}
+			t.Run(k.name+"_"+tr.name, func(t *testing.T) {
+				dir := t.TempDir()
+				var out1 collector
+				job1 := wordCountJob(docs, 3, 2, &out1)
+				job1.Conf.FaultTolerance = true
+				job1.Conf.CheckpointDir = dir
+				job1.Conf.CheckpointRecords = 64
+				k.arm(job1)
+				_, err := Run(job1, tr.opts...)
+				if err == nil {
+					// The crash point can outrun the run (e.g. the torn
+					// commit count never reached): a clean finish is
+					// acceptable, but must already be exact.
+					checkCounts(t, &out1, want)
+					return
+				}
+				if k.injected && !errors.Is(err, ErrInjectedFailure) {
+					t.Fatalf("unexpected failure: %v", err)
+				}
+				var out2 collector
+				job2 := wordCountJob(docs, 3, 2, &out2)
+				job2.Conf.FaultTolerance = true
+				job2.Conf.CheckpointDir = dir
+				job2.Conf.CheckpointRecords = 64
+				if _, err := Run(job2, tr.opts...); err != nil {
+					t.Fatal(err)
+				}
+				checkCounts(t, &out2, want)
+			})
 		}
 	}
 }

@@ -71,21 +71,11 @@ func (r *runIterator) Next() (kv.Record, error) {
 }
 
 // iteratorOverRuns builds an iterator over in-memory runs: a k-way merge in
-// sorted modes, plain concatenation otherwise. The pipeline path holds one
-// lazy cursor per run; the ASidePipelineOff ablation keeps the legacy
-// behavior of materializing every run into a []Record up front, so the
-// A/B quantifies what streaming buys.
+// sorted modes, plain concatenation otherwise. Each run is one lazy
+// cursor.
 func (rt *Runtime) iteratorOverRuns(memRuns [][]byte, extra []kv.Iterator) (kv.Iterator, error) {
 	its := make([]kv.Iterator, 0, len(memRuns)+len(extra))
 	for _, run := range memRuns {
-		if rt.job.Conf.ASidePipelineOff {
-			recs, err := kv.DecodeAll(run)
-			if err != nil {
-				return nil, err
-			}
-			its = append(its, kv.NewSliceIterator(recs))
-			continue
-		}
 		its = append(its, &runIterator{rest: run})
 	}
 	its = append(its, extra...)

@@ -132,15 +132,8 @@ func (ms *mergeState) writeRun(rel string, runs [][]byte, victim int, bytes int6
 	if err != nil {
 		return err
 	}
-	// The ablation keeps the legacy one-syscall-per-record spill write;
-	// the pipeline path batches through the bufio layer.
-	var out io.Writer = f
-	var bw *bufio.Writer
-	if !ms.p.rt.job.Conf.ASidePipelineOff {
-		bw = bufio.NewWriterSize(f, spillWriteBuf)
-		out = bw
-	}
-	w := kv.NewWriter(out)
+	bw := bufio.NewWriterSize(f, spillWriteBuf)
+	w := kv.NewWriter(bw)
 	it, err := ms.p.rt.iteratorOverRuns(runs, nil)
 	if err != nil {
 		f.Close()
@@ -160,11 +153,9 @@ func (ms *mergeState) writeRun(rel string, runs [][]byte, victim int, bytes int6
 			return err
 		}
 	}
-	if bw != nil {
-		if err := bw.Flush(); err != nil {
-			f.Close()
-			return err
-		}
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return err
 	}
 	if err := f.Close(); err != nil {
 		return err

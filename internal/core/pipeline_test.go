@@ -13,16 +13,16 @@ import (
 
 // Pipeline ordering tests: the O-side prepare pool processes sealed
 // buffers out of order, and the A-side merge pool ingests received runs
-// out of order, so these runs — every mode, both transports, serial and
-// parallel on both sides — prove the ordering guarantees the hard way.
+// out of order, so these runs — every mode, both transports, one worker
+// and many on both sides — prove the ordering guarantees the hard way.
 // If an end-of-phase marker ever overtook data on a per-(source, tag)
 // FIFO, or the receiver finalized a merge state while frames were still
 // pending in the merge pool, late records would be dropped and the
 // oracle comparison plus the counter-balance check below would both fail.
 
-// pipelineConfigs is the pipeline matrix every scenario runs under: on
-// each side, the serial ablation path, a single async worker, and a pool
-// wider than GOMAXPROCS on small machines (out-of-order completion
+// pipelineConfigs is the pipeline matrix every scenario runs under: the
+// O-side serial ablation path, and on each side a single async worker and
+// a pool wider than GOMAXPROCS on small machines (out-of-order completion
 // either way).
 func pipelineConfigs(t *testing.T, fn func(t *testing.T, tune func(*Config))) {
 	cases := []struct {
@@ -32,7 +32,6 @@ func pipelineConfigs(t *testing.T, fn func(t *testing.T, tune func(*Config))) {
 		{"serial", func(c *Config) { c.OSidePipelineOff = true }},
 		{"workers=1", func(c *Config) { c.PrepareWorkers = 1 }},
 		{"workers=4", func(c *Config) { c.PrepareWorkers = 4 }},
-		{"merge-serial", func(c *Config) { c.ASidePipelineOff = true }},
 		{"merge-workers=1", func(c *Config) { c.MergeWorkers = 1 }},
 		{"merge-workers=4", func(c *Config) { c.MergeWorkers = 4 }},
 	}
@@ -287,38 +286,6 @@ func TestPipelineOracleSpillCompaction(t *testing.T) {
 				rc["spill.compactions"], rc["spill.compact.runs"])
 		}
 	})
-}
-
-// TestASidePipelineCountersMatchSerial runs the same job under the
-// serial-merge ablation and the widest merge pool and asserts the
-// deterministic counter subset is identical: parallel ingestion may
-// reorder spills, but it must not change what crossed the wire or what
-// the combiner folded.
-func TestASidePipelineCountersMatchSerial(t *testing.T) {
-	run := func(tune func(*Config)) map[string]int64 {
-		recs := genWorkload(59, 3, 150, 10)
-		out := newSumCollector(2)
-		job := groupedSumJob(MapReduce, recs, 2, 2, sumCombine, out)
-		job.Conf.SPLBytes = 128
-		tune(&job.Conf)
-		res, err := Run(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.check(t, oracleSums(recs, 2), true)
-		return res.RuntimeCounters
-	}
-	serial := run(func(c *Config) { c.ASidePipelineOff = true })
-	pool := run(func(c *Config) { c.MergeWorkers = 4 })
-	for _, k := range []string{
-		"shuffle.bytes.sent", "shuffle.bytes.received",
-		"shuffle.records.sent", "shuffle.records.received",
-		"combine.records.in", "combine.records.out",
-	} {
-		if serial[k] != pool[k] {
-			t.Errorf("%s: serial %d, merge pool %d", k, serial[k], pool[k])
-		}
-	}
 }
 
 // TestPipelineOrderingUnderLinkChaos combines the parallel prepare pool

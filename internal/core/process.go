@@ -51,10 +51,6 @@ type process struct {
 	xmitQ  chan *pendingSend // dispatcher -> transmit stage, submission order
 	mergeQ chan mergeFrame   // receiver -> merge pool
 
-	// aSideOff caches Conf.ASidePipelineOff: frames merge inline on the
-	// receiver instead of travelling mergeQ.
-	aSideOff bool
-
 	// sendMu serializes the inline prepare+transmit path used when
 	// OSidePipelineOff; the pipeline stages never take it (they have their
 	// own single-goroutine owners).
@@ -62,14 +58,12 @@ type process struct {
 	// prepScratch amortizes prepare decoding on the serial path (guarded
 	// by sendMu).
 	prepScratch []kv.Record
-	// cpws is touched only by the transmit stage (pipeline on) or under
-	// sendMu (pipeline off); quiesce reads it after wg.Wait.
-	cpws map[int]*cpWriter
-	// committer is the background checkpoint committer; nil when fault
-	// tolerance is off or AsyncCheckpointOff selects synchronous commit.
+	// committer is the background checkpoint committer; nil exactly when
+	// fault tolerance is off.
 	committer *cpCommitter
 	// cpBatch accumulates the current checkpoint round per task for the
-	// async committer (same single-owner rules as cpws).
+	// committer. It is touched only by the transmit stage (pipeline on) or
+	// under sendMu (pipeline off); quiesce reads it after wg.Wait.
 	cpBatch map[int][]cpEntry
 
 	// dedup gates the receive-side duplicate-frame filter (PartialRestart):
@@ -159,23 +153,21 @@ type dedupKey struct {
 
 func newProcess(rt *Runtime, idx int, comm *mpi.Comm) *process {
 	p := &process{
-		rt:       rt,
-		idx:      idx,
-		comm:     comm,
-		tb:       rt.job.Trace.Rank(idx),
-		sendQ:    make(chan qItem, 256),
-		prepQ:    make(chan *pendingSend, 256),
-		xmitQ:    make(chan *pendingSend, 256),
-		mergeQ:   make(chan mergeFrame, 256),
-		aSideOff: rt.job.Conf.ASidePipelineOff,
-		cpws:     make(map[int]*cpWriter),
-		merges:   make(map[mergeKey]*mergeState),
-		ctxs:     make(map[ctxKey]*Context),
-		streams:  make(map[int]chan kv.Record),
+		rt:      rt,
+		idx:     idx,
+		comm:    comm,
+		tb:      rt.job.Trace.Rank(idx),
+		sendQ:   make(chan qItem, 256),
+		prepQ:   make(chan *pendingSend, 256),
+		xmitQ:   make(chan *pendingSend, 256),
+		mergeQ:  make(chan mergeFrame, 256),
+		merges:  make(map[mergeKey]*mergeState),
+		ctxs:    make(map[ctxKey]*Context),
+		streams: make(map[int]chan kv.Record),
 	}
 	p.blobs = newBlobStore(p)
 	cfg := &rt.job.Conf
-	if cfg.FaultTolerance && !cfg.AsyncCheckpointOff {
+	if cfg.FaultTolerance {
 		p.committer = newCPCommitter(p)
 		p.cpBatch = make(map[int][]cpEntry)
 	}
@@ -200,15 +192,13 @@ func newProcess(rt *Runtime, idx int, comm *mpi.Comm) *process {
 		p.wg.Add(1)
 		go p.prepareWorker(w)
 	}
-	if !p.aSideOff {
-		mergers := rt.job.Conf.MergeWorkers
-		if mergers < 1 {
-			mergers = 1
-		}
-		for w := 0; w < mergers; w++ {
-			p.wg.Add(1)
-			go p.mergeWorker(w)
-		}
+	mergers := rt.job.Conf.MergeWorkers
+	if mergers < 1 {
+		mergers = 1
+	}
+	for w := 0; w < mergers; w++ {
+		p.wg.Add(1)
+		go p.mergeWorker(w)
 	}
 	if rt.job.Conf.DataCentricOff {
 		p.wg.Add(1)
@@ -405,56 +395,18 @@ func (p *process) transmit(item *sendItem, round int, rawBytes int) error {
 	cfg := &p.rt.job.Conf
 	if item.cpSeal {
 		if item.task < 0 {
-			return p.sealAllCheckpoints()
-		}
-		if p.committer != nil {
-			if entries := p.cpBatch[item.task]; len(entries) > 0 {
-				delete(p.cpBatch, item.task)
-				p.committer.submit(&cpBatch{task: item.task, entries: entries})
-			}
+			p.sealAllCheckpoints()
 			return nil
 		}
-		w := p.cpws[item.task]
-		if w == nil {
-			return nil
-		}
-		n := w.records
-		if err := w.seal(); err != nil {
-			return err
-		}
-		if n > 0 {
-			p.rt.ctrs.cpChunks.Add(1)
-			if p.tb != nil {
-				p.tb.Span(tidSend, "cp.commit", "checkpoint", start,
-					map[string]any{"task": item.task, "records": n})
-			}
-		}
-		if fa := cfg.InjectFailAfterCPRecords; fa > 0 && n > 0 {
-			if p.rt.cpDurable.Add(n) >= fa {
-				p.rt.fail(ErrInjectedFailure)
-				return ErrInjectedFailure
-			}
+		if entries := p.cpBatch[item.task]; len(entries) > 0 {
+			delete(p.cpBatch, item.task)
+			p.committer.submit(&cpBatch{task: item.task, entries: entries})
 		}
 		return nil
 	}
 	frame, nrec := item.data, item.records
 	writeFrameHeader(frame, round, item.partition, item.reverse, item.valueChunk, item.task, item.idx)
 	checkpointed := cfg.FaultTolerance && !item.noCheckpoint && !item.reverse
-	if checkpointed && p.committer == nil {
-		w := p.cpws[item.task]
-		if w == nil {
-			w = newCPWriter(cfg.CheckpointDir, item.task)
-			w.seq = p.rt.cpStartSeq(item.task)
-			w.commitHook = cfg.CheckpointCommitHook
-			p.cpws[item.task] = w
-		}
-		// The chunk payload is the frame minus the round word —
-		// byte-identical to the wire payload receivers decode.
-		if err := w.append(frame[framePartOff:], nrec); err != nil {
-			return err
-		}
-		p.rt.ctrs.cpRecords.Add(nrec)
-	}
 	var dst int
 	if item.reverse {
 		dst = p.rt.procOfOTask(item.partition)
@@ -476,18 +428,13 @@ func (p *process) transmit(item *sendItem, round int, rawBytes int) error {
 			p.addCredits(dst, nrec)
 		}
 		if cfg.PartialRestart && checkpointed && errors.Is(err, mpi.ErrRankDead) {
-			// The destination died but this frame is durable: it is in the
-			// task's open chunk (sync) or queued for the async committer
-			// below, and the rejoin barrier commits open chunks before the
-			// master's recovery scan — so the replay covers it. Dropping
-			// instead of failing keeps survivor tasks running.
+			// The destination died but this frame is durable: it is queued
+			// for the committer below, and the rejoin barrier commits open
+			// rounds before the master's recovery scan — so the replay
+			// covers it. Dropping instead of failing keeps survivor tasks
+			// running.
 			p.rt.ctrs.partialDropped.Add(1)
-			if p.committer != nil {
-				p.cpBatch[item.task] = append(p.cpBatch[item.task], cpEntry{frame: frame, records: nrec})
-				p.rt.ctrs.cpRecords.Add(nrec)
-			} else {
-				putFrame(frame)
-			}
+			p.checkpointFrame(item.task, frame, nrec)
 			item.data = nil
 			if p.rt.job.Mem != nil {
 				p.rt.job.Mem.Add(-int64(rawBytes))
@@ -496,11 +443,10 @@ func (p *process) transmit(item *sendItem, round int, rawBytes int) error {
 		}
 		return err
 	}
-	if checkpointed && p.committer != nil {
-		// Async commit takes ownership of the frame after the transport
-		// released it; the committer recycles it once written.
-		p.cpBatch[item.task] = append(p.cpBatch[item.task], cpEntry{frame: frame, records: nrec})
-		p.rt.ctrs.cpRecords.Add(nrec)
+	if checkpointed {
+		// The committer takes ownership of the frame after the transport
+		// released it and recycles it once written.
+		p.checkpointFrame(item.task, frame, nrec)
 	} else {
 		putFrame(frame)
 	}
@@ -519,37 +465,27 @@ func (p *process) transmit(item *sendItem, round int, rawBytes int) error {
 	return nil
 }
 
-// sealAllCheckpoints commits every open chunk on this process — the
+// checkpointFrame queues one transmitted frame into its task's open
+// checkpoint round; the chunk payload is the frame minus the round word,
+// byte-identical to the wire payload receivers decode.
+func (p *process) checkpointFrame(task int, frame []byte, nrec int64) {
+	p.cpBatch[task] = append(p.cpBatch[task], cpEntry{frame: frame, records: nrec})
+	p.rt.ctrs.cpRecords.Add(nrec)
+}
+
+// sealAllCheckpoints commits every open round on this process — the
 // rejoin barrier after a partial restart. Once the cpSeal(task=-1) item
 // carrying it has been processed, every frame this process transmitted
 // (or dropped on the dead rank) before the barrier is in a committed
 // chunk, so the master's recovery scan sees it.
-func (p *process) sealAllCheckpoints() error {
-	if p.committer != nil {
-		for task, entries := range p.cpBatch {
-			delete(p.cpBatch, task)
-			if len(entries) > 0 {
-				p.committer.submit(&cpBatch{task: task, entries: entries})
-			}
-		}
-		p.committer.drain()
-		return nil
-	}
-	start := p.tb.Start()
-	for task, w := range p.cpws {
-		n := w.records
-		if err := w.seal(); err != nil {
-			return err
-		}
-		if n > 0 {
-			p.rt.ctrs.cpChunks.Add(1)
-			if p.tb != nil {
-				p.tb.Span(tidSend, "cp.commit", "checkpoint", start,
-					map[string]any{"task": task, "records": n})
-			}
+func (p *process) sealAllCheckpoints() {
+	for task, entries := range p.cpBatch {
+		delete(p.cpBatch, task)
+		if len(entries) > 0 {
+			p.committer.submit(&cpBatch{task: task, entries: entries})
 		}
 	}
-	return nil
+	p.committer.drain()
 }
 
 // ---------------------------------------------------------------------------
@@ -657,18 +593,11 @@ func (p *process) dataReceiver() {
 			continue
 		}
 		ms := p.merge(mergeKey{round: round, reverse: reverse})
-		if p.aSideOff {
-			if err := p.ingestRun(tidRecv, ms, partition, st.Source, records); err != nil {
-				p.fail(err)
-				return
-			}
-		} else {
-			ms.addPending()
-			select {
-			case p.mergeQ <- mergeFrame{ms: ms, partition: partition, src: st.Source, records: records}:
-			case <-p.rt.aborted:
-				return
-			}
+		ms.addPending()
+		select {
+		case p.mergeQ <- mergeFrame{ms: ms, partition: partition, src: st.Source, records: records}:
+		case <-p.rt.aborted:
+			return
 		}
 		if p.tb != nil {
 			p.tb.Span(tidRecv, "recv", "shuffle", start, map[string]any{
@@ -679,23 +608,21 @@ func (p *process) dataReceiver() {
 	}
 }
 
-// ingestRun counts, accounts and merges one received run into its RPL —
-// the body of one merge-pipeline stage. It runs on a merge worker with
-// the pipeline on, or inline on the receiver when ASidePipelineOff.
-func (p *process) ingestRun(tid int, ms *mergeState, partition, src int, records []byte) error {
+// ingestRun counts, accounts and merges one received run into its RPL.
+func (p *process) ingestRun(tid int, mf mergeFrame) error {
 	start := p.tb.Start()
-	nrec, err := kv.CountRecords(records)
+	nrec, err := kv.CountRecords(mf.records)
 	if err != nil {
 		return err
 	}
-	p.rt.ctrs.addPairRecv(src, p.idx, int64(len(records)), nrec)
-	if err := ms.addRun(partition, records, tid); err != nil {
+	p.rt.ctrs.addPairRecv(mf.src, p.idx, int64(len(mf.records)), nrec)
+	if err := mf.ms.addRun(mf.partition, mf.records, tid); err != nil {
 		return err
 	}
 	if p.tb != nil {
 		p.tb.Span(tid, "merge", "shuffle", start, map[string]any{
-			"src": src, "partition": partition,
-			"bytes": len(records), "records": nrec,
+			"src": mf.src, "partition": mf.partition,
+			"bytes": len(mf.records), "records": nrec,
 		})
 	}
 	return nil
@@ -709,7 +636,7 @@ func (p *process) ingestRun(tid int, ms *mergeState, partition, src int, records
 func (p *process) mergeWorker(w int) {
 	defer p.wg.Done()
 	for mf := range p.mergeQ {
-		err := p.ingestRun(mergeTID(w), mf.ms, mf.partition, mf.src, mf.records)
+		err := p.ingestRun(mergeTID(w), mf)
 		mf.ms.donePending()
 		if err != nil {
 			p.fail(err)
@@ -762,12 +689,22 @@ func (p *process) sendEndMarkers(round int, reverse bool) error {
 // ---------------------------------------------------------------------------
 // Streaming delivery
 
+// streamChan returns the partition's stream channel, creating it on first
+// use. An A task that starts only after end-of-stream still gets the
+// channel the receiver filled and closed, or a closed empty one.
 func (p *process) streamChan(partition int) chan kv.Record {
 	p.streamMu.Lock()
 	defer p.streamMu.Unlock()
+	return p.streamChanLocked(partition)
+}
+
+func (p *process) streamChanLocked(partition int) chan kv.Record {
 	ch := p.streams[partition]
 	if ch == nil {
 		ch = make(chan kv.Record, 4096)
+		if p.streamsClosed {
+			close(ch)
+		}
 		p.streams[partition] = ch
 	}
 	return ch
@@ -787,11 +724,7 @@ func (p *process) streamDeliver(partition, src int, nrec int64, records []byte) 
 		}
 		return false, nil
 	}
-	ch := p.streams[partition]
-	if ch == nil {
-		ch = make(chan kv.Record, 4096)
-		p.streams[partition] = ch
-	}
+	ch := p.streamChanLocked(partition)
 	p.streamMu.Unlock()
 	if p.credits != nil {
 		// The ledger entry must exist before the first record can possibly
@@ -824,7 +757,6 @@ func (p *process) closeStreams() {
 	for _, ch := range p.streams {
 		close(ch)
 	}
-	p.streams = map[int]chan kv.Record{}
 	p.streamsClosed = true
 }
 
@@ -918,9 +850,8 @@ func (p *process) shutdown() {
 	p.shutdownOnce.Do(func() { close(p.sendQ) })
 }
 
-// quiesce waits for every process goroutine to exit, then closes any
-// checkpoint file handle left open by an abort (the on-disk .tmp chunk
-// stays, as a real crash would leave it; recovery ignores it).
+// quiesce waits for every process goroutine to exit, then stops the
+// checkpoint committer.
 func (p *process) quiesce() {
 	p.wg.Wait()
 	p.sendMu.Lock()
@@ -937,12 +868,6 @@ func (p *process) quiesce() {
 		}
 		close(p.committer.q)
 		<-p.committer.done
-	}
-	for _, w := range p.cpws {
-		if w.f != nil {
-			w.f.Close()
-			w.f = nil
-		}
 	}
 	p.blobs.close()
 }

@@ -28,15 +28,14 @@ func TestRandomizedConfigurations(t *testing.T) {
 		splBytes := 64 << rng.Intn(6)
 		useSpill := rng.Intn(2) == 1
 		pipelineOff := rng.Intn(4) == 0
-		mergeOff := rng.Intn(4) == 0
 		mergeWorkers := rng.Intn(5)                // 0 selects the GOMAXPROCS default
 		compactFan := []int{0, -1, 2}[rng.Intn(3)] // default, disabled, aggressive
 		dataCentricOff := rng.Intn(4) == 0
 		tcp := rng.Intn(5) == 0
 		words := 100 + rng.Intn(900)
 
-		name := fmt.Sprintf("i%d_O%dA%dP%dS%d_spl%d_spill%v_po%v_ao%v_mw%d_cf%d_dc%v_tcp%v",
-			i, numO, numA, procs, slots, splBytes, useSpill, pipelineOff, mergeOff, mergeWorkers, compactFan, dataCentricOff, tcp)
+		name := fmt.Sprintf("i%d_O%dA%dP%dS%d_spl%d_spill%v_po%v_mw%d_cf%d_dc%v_tcp%v",
+			i, numO, numA, procs, slots, splBytes, useSpill, pipelineOff, mergeWorkers, compactFan, dataCentricOff, tcp)
 		t.Run(name, func(t *testing.T) {
 			docs := make([][]string, numO)
 			for w := 0; w < words; w++ {
@@ -48,7 +47,6 @@ func TestRandomizedConfigurations(t *testing.T) {
 			job.Slots = slots
 			job.Conf.SPLBytes = splBytes
 			job.Conf.OSidePipelineOff = pipelineOff
-			job.Conf.ASidePipelineOff = mergeOff
 			job.Conf.MergeWorkers = mergeWorkers
 			job.Conf.SpillCompactFanIn = compactFan
 			job.Conf.DataCentricOff = dataCentricOff

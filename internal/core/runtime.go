@@ -352,17 +352,11 @@ func (rt *Runtime) setup() error {
 }
 
 // engineOptions translates the Config's transport progress-engine knobs
-// (coalescing thresholds and the CoalesceOff/MuxOff ablations) into mpi
-// world options. Shared by the in-process master, the proc-mode master
-// world, and — via the launch env protocol — worker processes.
+// (coalescing thresholds, shm, drain and chunking) into mpi world options.
+// Shared by the in-process master, the proc-mode master world, and — via
+// the launch env protocol — worker processes.
 func engineOptions(c *Config) []mpi.Option {
 	var opts []mpi.Option
-	if c.CoalesceOff {
-		opts = append(opts, mpi.WithCoalesceOff())
-	}
-	if c.MuxOff {
-		opts = append(opts, mpi.WithMuxOff())
-	}
 	if c.CoalesceBytes > 0 || c.CoalesceDeadline > 0 {
 		opts = append(opts, mpi.WithCoalesce(c.CoalesceBytes, c.CoalesceDeadline))
 	}
@@ -392,17 +386,13 @@ func (rt *Runtime) nameTraceRows() {
 		tr.SetProcessName(i, fmt.Sprintf("worker %d", i))
 		tr.SetThreadName(i, tidControl, "control")
 		tr.SetThreadName(i, tidSend, "send")
-		if j.Conf.ASidePipelineOff {
-			tr.SetThreadName(i, tidRecv, "recv/merge")
-		} else {
-			tr.SetThreadName(i, tidRecv, "recv")
-			mw := j.Conf.MergeWorkers
-			if mw > maxMergeRows {
-				mw = maxMergeRows
-			}
-			for w := 0; w < mw; w++ {
-				tr.SetThreadName(i, mergeTID(w), fmt.Sprintf("merge-%d", w))
-			}
+		tr.SetThreadName(i, tidRecv, "recv")
+		mw := j.Conf.MergeWorkers
+		if mw > maxMergeRows {
+			mw = maxMergeRows
+		}
+		for w := 0; w < mw; w++ {
+			tr.SetThreadName(i, mergeTID(w), fmt.Sprintf("merge-%d", w))
 		}
 		tr.SetThreadName(i, tidCompact, "spill-compact")
 		pw := j.Conf.PrepareWorkers

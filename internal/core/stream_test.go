@@ -556,3 +556,29 @@ func TestStreamWindowStateSpills(t *testing.T) {
 		t.Error("no windows fired")
 	}
 }
+
+// TestStreamChanAfterEndOfStream pins the late-consumer case: an A task
+// whose goroutine first asks for its stream channel after the receiver
+// already processed the final end marker must drain what was delivered
+// and then see the close, not block on a fresh channel nobody closes.
+func TestStreamChanAfterEndOfStream(t *testing.T) {
+	p := &process{streams: map[int]chan kv.Record{}}
+	p.streamChan(0) <- kv.Record{Key: []byte("k")}
+	p.closeStreams()
+	// Everything is buffered or closed by now, so no receive may block.
+	next := func(partition int) bool {
+		select {
+		case _, ok := <-p.streamChan(partition):
+			return ok
+		default:
+			t.Fatalf("partition %d: stream channel blocks after end-of-stream", partition)
+			return false
+		}
+	}
+	if !next(0) {
+		t.Fatal("late consumer lost the record delivered before end-of-stream")
+	}
+	if next(0) || next(1) {
+		t.Fatal("late consumer received a record after end-of-stream")
+	}
+}

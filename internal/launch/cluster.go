@@ -41,10 +41,8 @@ type ClusterConfig struct {
 	// prefixed "[w<rank>] ". Defaults to os.Stderr.
 	Output io.Writer
 	// Transport progress-engine knobs, applied to the master's world and
-	// forwarded to every worker via EnvCoalesce/EnvMux so the whole fleet
-	// runs one engine configuration (see core.Config.CoalesceOff et al.).
-	CoalesceOff      bool
-	MuxOff           bool
+	// forwarded to every worker via EnvCoalesce so the whole fleet runs
+	// one engine configuration (see core.Config.CoalesceBytes).
 	CoalesceBytes    int
 	CoalesceDeadline time.Duration
 	// ShmOff disables the same-host shared-memory transport for the whole
@@ -85,15 +83,9 @@ func (cfg *ClusterConfig) spawnEnv(rank, attempt int, rvAddr string, shm bool) [
 		fmt.Sprintf("%s=%d", EnvAttempt, attempt),
 		fmt.Sprintf("%s=%d", EnvIOTimeout, cfg.IOTimeout.Milliseconds()),
 	)
-	switch {
-	case cfg.CoalesceOff:
-		env = append(env, EnvCoalesce+"=off")
-	case cfg.CoalesceBytes > 0 || cfg.CoalesceDeadline > 0:
+	if cfg.CoalesceBytes > 0 || cfg.CoalesceDeadline > 0 {
 		env = append(env, fmt.Sprintf("%s=%d,%d", EnvCoalesce,
 			cfg.CoalesceBytes, cfg.CoalesceDeadline.Microseconds()))
-	}
-	if cfg.MuxOff {
-		env = append(env, EnvMux+"=off")
 	}
 	if shm && cfg.shmDir != "" {
 		env = append(env, EnvShmDir+"="+cfg.shmDir)
@@ -116,12 +108,6 @@ func (cfg *ClusterConfig) worldOptions() []mpi.Option {
 	var wopts []mpi.Option
 	if cfg.IOTimeout > 0 {
 		wopts = append(wopts, mpi.WithSendTimeout(cfg.IOTimeout))
-	}
-	if cfg.CoalesceOff {
-		wopts = append(wopts, mpi.WithCoalesceOff())
-	}
-	if cfg.MuxOff {
-		wopts = append(wopts, mpi.WithMuxOff())
 	}
 	if cfg.CoalesceBytes > 0 || cfg.CoalesceDeadline > 0 {
 		wopts = append(wopts, mpi.WithCoalesce(cfg.CoalesceBytes, cfg.CoalesceDeadline))

@@ -30,12 +30,10 @@ const (
 	EnvAttempt    = "DATAMPI_ATTEMPT"
 	EnvIOTimeout  = "DATAMPI_IOTIMEOUT_MS"
 	EnvSpec       = "DATAMPI_SPEC"
-	// EnvCoalesce / EnvMux carry the transport progress-engine knobs so
-	// worker worlds run the same engine configuration as the master's:
-	// EnvCoalesce is "off" (ablation), "" (engine defaults), or
-	// "<bytes>,<deadline_us>"; EnvMux is "off" (ablation) or "".
+	// EnvCoalesce carries the transport progress-engine knobs so worker
+	// worlds run the same engine configuration as the master's: "" (engine
+	// defaults) or "<bytes>,<deadline_us>".
 	EnvCoalesce = "DATAMPI_COALESCE"
-	EnvMux      = "DATAMPI_MUX"
 	// EnvShmDir is the launcher's shared-memory segment directory. A
 	// worker that can read its nonce advertises the derived host identity
 	// alongside its TCP address and maps the rings; unset (or unreadable)
@@ -142,23 +140,16 @@ func JoinAsWorker() (*Worker, error) {
 }
 
 // engineEnvOptions parses the progress-engine spawn variables (EnvCoalesce,
-// EnvMux) into world options for JoinWorld. Unset variables select the
-// engine defaults.
+// EnvDrain, EnvChunk, EnvMaxFrame) into world options for JoinWorld. Unset
+// variables select the engine defaults.
 func engineEnvOptions() ([]mpi.Option, error) {
 	var opts []mpi.Option
-	switch v := os.Getenv(EnvCoalesce); v {
-	case "":
-	case "off":
-		opts = append(opts, mpi.WithCoalesceOff())
-	default:
+	if v := os.Getenv(EnvCoalesce); v != "" {
 		var bytes, us int
 		if _, err := fmt.Sscanf(v, "%d,%d", &bytes, &us); err != nil {
 			return nil, fmt.Errorf("launch: bad %s=%q: %w", EnvCoalesce, v, err)
 		}
 		opts = append(opts, mpi.WithCoalesce(bytes, time.Duration(us)*time.Microsecond))
-	}
-	if os.Getenv(EnvMux) == "off" {
-		opts = append(opts, mpi.WithMuxOff())
 	}
 	if ms, err := envInt(EnvDrain, 0); err != nil {
 		return nil, err

@@ -78,8 +78,6 @@ func launchAttempt(spec *JobSpec, specEnv string, opt Options, attempt int) (*co
 		Attempt:       attempt,
 		IOTimeout:     spec.IOTimeout(),
 		Output:        opt.Output,
-		CoalesceOff:   spec.CoalesceOff,
-		MuxOff:        spec.MuxOff,
 		ShmOff:        spec.ShmOff,
 		ShmDir:        opt.ShmDir,
 		ChunkBytes:    spec.ChunkBytes,

@@ -193,13 +193,12 @@ func TestProcTeraSort(t *testing.T) {
 }
 
 // TestProcMuxConnCount pins the progress engine's socket economics at
-// the process level: with multiplexing on (the default) the whole fleet
-// opens at most one outgoing TCP connection per ordered process pair —
-// regardless of how many communicators and ranks each process hosts —
-// while the mux-off ablation pays one connection per stream triple. Both
-// configurations must produce output byte-identical to the in-process
-// oracle; mpi.mux.conns folds additively across worker processes, so the
-// launcher's merged result carries the fleet-wide total.
+// the process level: the whole fleet opens at most one outgoing TCP
+// connection per ordered process pair, regardless of how many
+// communicators and ranks each process hosts, and the output is
+// byte-identical to the in-process oracle. mpi.mux.conns folds
+// additively across worker processes, so the launcher's merged result
+// carries the fleet-wide total.
 func TestProcMuxConnCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -208,49 +207,35 @@ func TestProcMuxConnCount(t *testing.T) {
 	// ShmOff: this test pins the *TCP* socket economics; with the
 	// shared-memory transport on (the fleet default), same-host pairs
 	// never dial and mpi.mux.conns stays 0 — see TestProcShmTransport.
-	mkSpec := func(name string, muxOff bool) JobSpec {
+	mkSpec := func(name string) JobSpec {
 		return JobSpec{
 			App: "wordcount", NumO: 6, NumA: 3, Procs: 3,
 			Lines: 300, Seed: 13, SPLBytes: 4096,
 			OutDir: filepath.Join(base, name),
-			MuxOff: muxOff, ShmOff: true,
+			ShmOff: true,
 		}
 	}
-	ospec := mkSpec("oracle", false)
+	ospec := mkSpec("oracle")
 	runOracle(t, ospec)
 	want := readParts(t, ospec.OutDir, ospec.NumA)
 
-	run := func(name string, muxOff bool) int64 {
-		spec := mkSpec(name, muxOff)
-		out := &syncWriter{}
-		res, err := Launch(&spec, Options{Output: out})
-		if err != nil {
-			t.Fatalf("%s Launch: %v\nworker output:\n%s", name, err, out.String())
-		}
-		checkPartsEqual(t, readParts(t, spec.OutDir, spec.NumA), want)
-		return res.RuntimeCounters["mpi.mux.conns"]
+	spec := mkSpec("mux")
+	out := &syncWriter{}
+	res, err := Launch(&spec, Options{Output: out})
+	if err != nil {
+		t.Fatalf("Launch: %v\nworker output:\n%s", err, out.String())
 	}
-	muxConns := run("mux", false)
-	offConns := run("muxoff", true)
+	checkPartsEqual(t, readParts(t, spec.OutDir, spec.NumA), want)
 
 	// Procs workers + the controller, each dialing at most one conn per
 	// destination process including itself (self-sends ride TCP too):
 	// (Procs+1)^2 ordered pairs. mpi.mux.conns is the fold of each
 	// process's peak simultaneous outgoing conns, so staying under the
-	// pair count proves no process ever held more than one conn per peer
-	// — the O(sockets) collapse the engine promises — no matter how many
-	// communicators its ranks used. The stronger on-vs-off contrast lives
-	// in the in-process TestMuxConnCount, where many comm-rank streams
-	// share each process pair; the fleet protocol happens to use one comm
-	// per pair, so the ablation can only match or exceed, never undercut.
+	// pair count proves no process ever held more than one conn per peer,
+	// no matter how many communicators its ranks used.
 	pairs := int64((ospec.Procs + 1) * (ospec.Procs + 1))
-	if muxConns == 0 || muxConns > pairs {
-		t.Errorf("mpi.mux.conns = %d with multiplexing on, want 1..%d (one conn per process pair)",
-			muxConns, pairs)
-	}
-	if offConns < muxConns {
-		t.Errorf("mux-off opened %d conns vs %d multiplexed — the ablation can never use fewer sockets",
-			offConns, muxConns)
+	if muxConns := res.RuntimeCounters["mpi.mux.conns"]; muxConns == 0 || muxConns > pairs {
+		t.Errorf("mpi.mux.conns = %d, want 1..%d (one conn per process pair)", muxConns, pairs)
 	}
 }
 

@@ -55,13 +55,10 @@ type JobSpec struct {
 	SPLBytes    int   `json:"splBytes,omitempty"`
 	IOTimeoutMs int64 `json:"ioTimeoutMs,omitempty"`
 
-	// CoalesceOff / MuxOff ablate the transport progress engine across
-	// the whole fleet (master world + every worker world). ShmOff keeps
-	// every rank pair on TCP: the launcher creates no segment directory
-	// and no rank advertises a shm host identity.
-	CoalesceOff bool `json:"coalesceOff,omitempty"`
-	MuxOff      bool `json:"muxOff,omitempty"`
-	ShmOff      bool `json:"shmOff,omitempty"`
+	// ShmOff keeps every rank pair on TCP across the whole fleet (master
+	// world + every worker world): the launcher creates no segment
+	// directory and no rank advertises a shm host identity.
+	ShmOff bool `json:"shmOff,omitempty"`
 
 	// ChunkBytes / MaxFrameBytes tune the large-value data plane fleet-wide
 	// (core.Config.ChunkBytes / MaxFrameBytes, shipped to every worker
@@ -182,8 +179,6 @@ func (s *JobSpec) BuildJob(workerRank, attempt int, tr *trace.Tracer) *core.Job 
 			CheckpointDir:     s.CheckpointDir,
 			CheckpointRecords: s.CheckpointRecords,
 			PartialRestart:    s.PartialRestart,
-			CoalesceOff:       s.CoalesceOff,
-			MuxOff:            s.MuxOff,
 			ShmOff:            s.ShmOff,
 			ChunkBytes:        s.ChunkBytes,
 			MaxFrameBytes:     s.MaxFrameBytes,

@@ -424,7 +424,7 @@ func TestTCPReconnectAfterPeerConnLoss(t *testing.T) {
 	}
 	// Sever the established connection as an external failure would.
 	tt := w.tr.(*tcpTransport)
-	tt.resetPair(uint32(0), 0, 1)
+	tt.resetConn(1)
 	if err := w.Comm(0).Send(1, 7, []byte("after")); err != nil {
 		t.Fatalf("send after reset: %v", err)
 	}

@@ -21,7 +21,6 @@ func chunkedCases() []struct {
 	}{
 		{"mem", nil},
 		{"tcp", []Option{WithTCP()}},
-		{"tcp/coalesce-off", []Option{WithTCP(), WithCoalesceOff()}},
 		{"shm", []Option{WithTCP(), WithShm()}},
 	}
 }

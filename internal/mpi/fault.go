@@ -38,10 +38,11 @@ type queuedFrame struct {
 	reset   bool
 }
 
-// connResetter is implemented by transports with per-pair connection state
-// (TCP); the fault layer uses it to inject connection resets.
+// connResetter is implemented by transports with per-destination
+// connection state (TCP); the fault layer uses it to inject connection
+// resets.
 type connResetter interface {
-	resetPair(comm uint32, srcRank int32, dst int)
+	resetConn(dst int)
 }
 
 func newFaultTransport(inner transport, inj *fault.Injector) *faultTransport {
@@ -129,7 +130,7 @@ func (t *faultTransport) pairWorker(src, dst int, q chan queuedFrame) {
 		}
 		if qf.reset {
 			if rc, ok := t.inner.(connResetter); ok {
-				rc.resetPair(qf.f.comm, qf.f.srcRank, dst)
+				rc.resetConn(dst)
 			}
 		}
 		if t.inj.Dead(dst) || t.inj.Dead(src) {

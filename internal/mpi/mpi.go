@@ -155,17 +155,6 @@ func WithCoalesce(bytes int, deadline time.Duration) Option {
 	}
 }
 
-// WithCoalesceOff disables send coalescing (ablation): every frame is
-// written synchronously in its own vectored write, like the pre-engine
-// transport's flush-per-frame behaviour.
-func WithCoalesceOff() Option { return func(c *config) { c.eng.coalesceOff = true } }
-
-// WithMuxOff disables connection multiplexing (ablation): each
-// (communicator, sender rank, destination) triple dials its own TCP
-// connection — the pre-engine socket layout — instead of all streams
-// toward a destination sharing one.
-func WithMuxOff() Option { return func(c *config) { c.eng.muxOff = true } }
-
 // WithShm runs every rank pair of an in-process TCP world over
 // shared-memory rings: the progress engine's batches are deposited into
 // per-destination mmap-ed SPSC ring buffers instead of loopback sockets,

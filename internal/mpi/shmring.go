@@ -104,8 +104,8 @@ type shmCounters struct {
 
 // shmRing is one mapped segment. The producer side calls write, the
 // consumer side calls Read (an io.Reader, so readFrame consumes the ring
-// directly). wmu serializes producers — exactly one connWriter under the
-// default mux, several under the MuxOff ablation. mu guards the mapping's
+// directly). wmu serializes producers (in practice the destination's one
+// connWriter). mu guards the mapping's
 // lifetime: accessors hold it shared, unmap takes it exclusively after
 // stop has forced every waiter out.
 type shmRing struct {

@@ -64,8 +64,8 @@ type Stats struct {
 	CoalesceFlushSize     int64
 	CoalesceFlushDeadline int64
 	// MuxConns is the peak number of simultaneously open outgoing
-	// connections: one per destination under multiplexing (the default),
-	// one per (comm, srcRank, dst) triple under WithMuxOff.
+	// connections: every communicator and sender rank multiplexes onto one
+	// per destination.
 	MuxConns int64
 	// WritevCalls counts batch writes issued by the progress engine; each
 	// ships everything pending toward one destination in a single syscall.
@@ -166,10 +166,8 @@ const tcpDrainTimeout = 2 * time.Second
 // engineConfig tunes the TCP transport's send-side progress engine:
 // per-destination coalescing, vectored writes, connection multiplexing,
 // and same-host shared-memory rings. The zero value selects the
-// defaults; the Off fields are the ablation switches.
+// defaults.
 type engineConfig struct {
-	coalesceOff      bool
-	muxOff           bool
 	coalesceBytes    int
 	coalesceDeadline time.Duration
 	drainTimeout     time.Duration
@@ -356,9 +354,7 @@ func (t *memTransport) close() {
 // destination. The receive path is unchanged: a batch is just
 // concatenated frames, demultiplexed by the (comm, srcRank) header every
 // frame always carried, and per-stream sequence numbers keep delivery
-// exactly-once in order across resets and whole-batch rewrites. The
-// CoalesceOff ablation restores the seed transport's synchronous
-// flush-per-frame sends.
+// exactly-once in order across resets and whole-batch rewrites.
 
 type tcpTransport struct {
 	transportStats
@@ -380,8 +376,8 @@ type tcpTransport struct {
 	writevCalls           atomic.Int64
 
 	mu       sync.Mutex
-	conns    map[[3]int]*tcpConn // connKey -> progress-engine connection state
-	sendSeq  map[[3]int]uint64   // [comm,srcRank,dst] -> next sequence number per stream
+	conns    map[int]*tcpConn  // dst -> progress-engine connection state
+	sendSeq  map[[3]int]uint64 // [comm,srcRank,dst] -> next sequence number per stream
 	outbound map[net.Conn]struct{}
 	muxPeak  int64 // peak len(outbound), reported as Stats.MuxConns
 	accepted map[net.Conn]struct{}
@@ -410,10 +406,8 @@ type streamState struct {
 // tcpConn is one outgoing connection's progress-engine state: the live
 // socket (redialed on demand after a drop), the pending batch its writer
 // goroutine drains, and — after a flush exhausts its retries — the
-// sticky failure-detector verdict. With coalescing on, a connWriter
-// goroutine owns all socket I/O; under CoalesceOff there is no writer
-// and sends flush synchronously (the seed transport's behaviour),
-// serialized by flushMu.
+// sticky failure-detector verdict. A connWriter goroutine owns all
+// socket I/O.
 type tcpConn struct {
 	dst  int
 	ring *shmRing // non-nil: flushes go to shared memory, never a socket
@@ -435,9 +429,6 @@ type tcpConn struct {
 	space chan struct{} // cap 1: writer drained, backpressured senders recheck
 	dead  chan struct{} // closed on sticky verdict or retirement; unblocks waiters
 	once  sync.Once     // guards the dead close
-
-	flushMu sync.Mutex // CoalesceOff path: serializes synchronous flushes
-	syncBuf []byte     // CoalesceOff path: reusable frame serialization buffer
 }
 
 // closeDead marks tc permanently unusable, waking any blocked sender.
@@ -456,7 +447,7 @@ func newTCPTransport(n int, link *netsim.Link, sendTimeout time.Duration, onRetr
 		addrs:       make([]string, n),
 		inboxes:     make([]chan frame, n),
 		done:        make(chan struct{}),
-		conns:       make(map[[3]int]*tcpConn),
+		conns:       make(map[int]*tcpConn),
 		sendSeq:     make(map[[3]int]uint64),
 		outbound:    make(map[net.Conn]struct{}),
 		streams:     make(map[[3]int]*streamState),
@@ -517,7 +508,7 @@ func newDistTCPTransport(n, self int, ln net.Listener, addrs []string, link *net
 		addrs:       plain,
 		inboxes:     make([]chan frame, n),
 		done:        make(chan struct{}),
-		conns:       make(map[[3]int]*tcpConn),
+		conns:       make(map[int]*tcpConn),
 		sendSeq:     make(map[[3]int]uint64),
 		outbound:    make(map[net.Conn]struct{}),
 		streams:     make(map[[3]int]*streamState),
@@ -704,19 +695,11 @@ func readFrame(r io.Reader) (frame, error) {
 	return f, nil
 }
 
-// connKey maps a frame's stream to its outgoing connection. The default
-// engine multiplexes every communicator and sender rank onto one
-// connection per destination — O(n) sockets instead of one per (comm,
-// srcRank, dst) triple — demultiplexed on the receive side by the (comm,
-// srcRank) header every frame has always carried. WithMuxOff restores the
-// seed transport's connection-per-triple layout.
-func (t *tcpTransport) connKey(comm uint32, srcRank int32, dst int) [3]int {
-	if t.eng.muxOff {
-		return [3]int{int(comm), int(srcRank), dst}
-	}
-	return [3]int{-1, -1, dst}
-}
-
+// send deposits f into its destination's batch. The engine multiplexes
+// every communicator and sender rank onto one connection per destination
+// — O(n) sockets instead of one per (comm, srcRank, dst) triple —
+// demultiplexed on the receive side by the (comm, srcRank) header every
+// frame carries.
 func (t *tcpTransport) send(src, dst int, f frame) error {
 	if len(f.data) > t.eng.maxFrame {
 		return fmt.Errorf("mpi: %d-byte frame: %w", len(f.data), ErrFrameTooLarge)
@@ -739,8 +722,7 @@ func (t *tcpTransport) send(src, dst int, f frame) error {
 	}
 	f.seq = t.sendSeq[seqKey]
 	t.sendSeq[seqKey]++
-	key := t.connKey(f.comm, f.srcRank, dst)
-	tc := t.conns[key]
+	tc := t.conns[dst]
 	if tc == nil {
 		tc = &tcpConn{
 			dst:   dst,
@@ -749,17 +731,11 @@ func (t *tcpTransport) send(src, dst int, f frame) error {
 			space: make(chan struct{}, 1),
 			dead:  make(chan struct{}),
 		}
-		t.conns[key] = tc
-		if !t.eng.coalesceOff {
-			t.wg.Add(1)
-			go t.connWriter(tc)
-		}
+		t.conns[dst] = tc
+		t.wg.Add(1)
+		go t.connWriter(tc)
 	}
 	t.mu.Unlock()
-
-	if t.eng.coalesceOff {
-		return t.sendSync(tc, src, f)
-	}
 
 	// Deposit the frame into the writer's batch and return — the sender
 	// never blocks on a syscall. The batch retains the bytes past this
@@ -820,30 +796,6 @@ func (t *tcpTransport) send(src, dst int, f frame) error {
 	default:
 	}
 	return nil
-}
-
-// sendSync is the CoalesceOff ablation: serialize and write one frame
-// synchronously, exactly the seed transport's flush-per-frame behaviour
-// (including synchronous error surfacing). flushMu serializes writers to
-// a shared multiplexed connection.
-func (t *tcpTransport) sendSync(tc *tcpConn, src int, f frame) error {
-	tc.flushMu.Lock()
-	defer tc.flushMu.Unlock()
-	tc.mu.Lock()
-	tc.src = src
-	if tc.err != nil {
-		err := tc.err
-		tc.mu.Unlock()
-		return err
-	}
-	if tc.stopped {
-		tc.mu.Unlock()
-		return nil
-	}
-	buf := appendFrame(tc.syncBuf[:0], f)
-	tc.syncBuf = buf
-	tc.mu.Unlock()
-	return t.flushBuf(tc, buf, 1, int64(len(f.data)), src, nil)
 }
 
 // connWriter is tc's progress engine: a per-connection goroutine that
@@ -1065,16 +1017,14 @@ func (t *tcpTransport) dropConnLocked(tc *tcpConn) {
 	tc.c = nil
 }
 
-// resetPair injects a connection reset: the next flush toward the triple
-// must redial. Used by the fault layer; under multiplexing the triple's
-// frames share the destination's connection, so the reset severs that
-// shared socket — a strictly stronger fault, which the rewrite/dedup
-// machinery absorbs the same way. Pending batched frames survive the
+// resetConn injects a connection reset: the next flush toward dst must
+// redial. Used by the fault layer; every stream toward dst shares the
+// connection, so the reset severs all of them at once, and the
+// rewrite/dedup machinery absorbs it. Pending batched frames survive the
 // reset and ride the next flush.
-func (t *tcpTransport) resetPair(comm uint32, srcRank int32, dst int) {
-	key := t.connKey(comm, srcRank, dst)
+func (t *tcpTransport) resetConn(dst int) {
 	t.mu.Lock()
-	tc := t.conns[key]
+	tc := t.conns[dst]
 	t.mu.Unlock()
 	if tc == nil {
 		return
@@ -1102,20 +1052,15 @@ func (t *tcpTransport) replaceRank(worldRank int, addr string, commRanks map[uin
 	t.shm.retireRank(worldRank)
 	t.mu.Lock()
 	t.addrs[worldRank] = plain
-	var stale []*tcpConn
-	for key, tc := range t.conns {
-		if key[2] == worldRank {
-			stale = append(stale, tc)
-			delete(t.conns, key)
-		}
-	}
+	tc := t.conns[worldRank]
+	delete(t.conns, worldRank)
 	for key := range t.sendSeq {
 		if key[2] == worldRank {
 			delete(t.sendSeq, key)
 		}
 	}
 	t.mu.Unlock()
-	for _, tc := range stale {
+	if tc != nil {
 		// Retire the connection outright rather than reviving it in place:
 		// the writer goroutine exits, racing senders that already resolved
 		// this tc drop their frames (old-incarnation streams), and the next
@@ -1203,7 +1148,7 @@ func (t *tcpTransport) close() {
 	}
 	t.mu.Lock()
 	t.torndown = true
-	t.conns = map[[3]int]*tcpConn{}
+	t.conns = map[int]*tcpConn{}
 	outbound := make([]net.Conn, 0, len(t.outbound))
 	for c := range t.outbound {
 		outbound = append(outbound, c)
