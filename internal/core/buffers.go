@@ -89,11 +89,18 @@ var framePool = sync.Pool{New: func() any {
 	return &b
 }}
 
+// frameBoxes recycles the *[]byte boxes framePool holds frames in, so
+// recycling a frame does not allocate a box for it.
+var frameBoxes = sync.Pool{New: func() any { return new([]byte) }}
+
 // getFrame returns an empty framed buffer: header space reserved, zero
 // record bytes.
 func getFrame() []byte {
 	bp := framePool.Get().(*[]byte)
-	return (*bp)[:frameHeaderLen]
+	b := (*bp)[:frameHeaderLen]
+	*bp = nil
+	frameBoxes.Put(bp)
+	return b
 }
 
 // putFrame recycles a framed buffer. Safe only once nothing aliases it.
@@ -101,8 +108,9 @@ func putFrame(b []byte) {
 	if cap(b) < frameHeaderLen || cap(b) > maxPooledFrame {
 		return
 	}
-	b = b[:frameHeaderLen]
-	framePool.Put(&b)
+	bp := frameBoxes.Get().(*[]byte)
+	*bp = b[:frameHeaderLen]
+	framePool.Put(bp)
 }
 
 // frameWithRecords builds a framed buffer around pre-encoded record bytes
@@ -234,14 +242,29 @@ func decodePayload(b []byte) (partition int, reverse, valueChunk bool, task int,
 }
 
 // prepareFrame sorts and combines a framed buffer's records according to
-// the config, re-encoding into a fresh pooled frame (the decoded records
-// alias the input, so the reorder cannot be done in place); the input
-// frame is recycled. scratch carries the record-header slice across calls
-// so steady state allocates nothing. When the config needs neither sort
-// nor combine the input frame is returned as is.
+// the config into a fresh pooled frame (the records alias the input, so
+// the reorder cannot be done in place) and recycles the input frame.
+//
+// A combiner in raw-byte order (Compare unset) groups the records by
+// exact key bytes and sorts only the distinct keys (kv.HashCombine); in
+// steady state that allocates nothing beyond what the combiner does. A
+// custom Compare may call different bytes equal, so it keeps the general
+// path: decode, sort every record, combine the sorted runs, with scratch
+// carrying the record headers across calls. Both produce the same bytes
+// whenever both apply. When the config needs neither sort nor combine
+// the input frame is returned as is.
 func prepareFrame(cfg *Config, frame []byte, nrec int64, scratch *[]kv.Record) ([]byte, int64, error) {
 	if !cfg.sorted() && cfg.Combine == nil {
 		return frame, nrec, nil
+	}
+	if cfg.Combine != nil && cfg.Compare == nil {
+		out, n, err := kv.HashCombine(getFrame(), frame[frameHeaderLen:], cfg.Combine)
+		if err != nil {
+			putFrame(out)
+			return nil, 0, err
+		}
+		putFrame(frame)
+		return out, n, nil
 	}
 	recs, err := kv.DecodeAllInto((*scratch)[:0], frame[frameHeaderLen:])
 	if err != nil {

@@ -15,12 +15,13 @@ import (
 )
 
 // Fast-path identity: a job that leaves Compare unset sorts and merges in
-// raw-byte order through kv's key-prefix column; the same job with Compare
-// set to an equivalent closure takes the generic comparator path. Both
-// must deliver the same records in the same order — including the order of
-// equal keys, which NextGroup exposes as value order — and count the same
-// work, through the plain shuffle, the spill and compaction merges, and a
-// checkpoint crash/restart.
+// raw-byte order through kv's key-prefix column, and combines by hash
+// before sorting (kv.HashCombine); the same job with Compare set to an
+// equivalent closure takes the generic comparator path and sorts before it
+// combines. Both must deliver the same records in the same order —
+// including the order of equal keys, which NextGroup exposes as value
+// order — and count the same work, through the plain shuffle, the spill
+// and compaction merges, and a checkpoint crash/restart.
 //
 // Every job has one O task, one merge worker and one partition per
 // process, so the runs each partition receives arrive, spill and compact
@@ -89,9 +90,34 @@ func (o *identityOutput) add(part int, line string) {
 	o.mu.Unlock()
 }
 
-// identityJob builds one of the two job shapes. TeraSort-shaped: unique
-// values, A tasks drain RecvRecord. WordCount-shaped: a summing combiner,
-// A tasks read NextGroup and record every group's values in order.
+// sumValues is WordCount's combiner over 8-byte counts.
+func sumValues(vals [][]byte) uint64 {
+	var sum uint64
+	for _, v := range vals {
+		sum += binary.BigEndian.Uint64(v)
+	}
+	return sum
+}
+
+// identityCombiners are the WordCount-shaped jobs' combiners, by shape.
+var identityCombiners = map[string]kv.Combine{
+	"wordcount": func(_ []byte, vals [][]byte) [][]byte {
+		return [][]byte{binary.BigEndian.AppendUint64(nil, sumValues(vals))}
+	},
+	// Joins the values in arrival order, so any reordering of a key's
+	// values within a frame changes the bytes on the wire.
+	"wordcount-concat": func(_ []byte, vals [][]byte) [][]byte {
+		return [][]byte{bytes.Join(vals, nil)}
+	},
+	"wordcount-two": func(_ []byte, vals [][]byte) [][]byte {
+		return [][]byte{binary.BigEndian.AppendUint64(nil, sumValues(vals)), binary.BigEndian.AppendUint64(nil, uint64(len(vals)))}
+	},
+}
+
+// identityJob builds one of the job shapes. TeraSort-shaped: unique
+// values, A tasks drain RecvRecord. WordCount-shaped: a combiner from
+// identityCombiners, A tasks read NextGroup and record every group's
+// values in order.
 func identityJob(shape string, n int, out *identityOutput) *Job {
 	numA := 2
 	out.lines = make([][]string, numA)
@@ -125,21 +151,22 @@ func identityJob(shape string, n int, out *identityOutput) *Job {
 				out.add(ctx.Rank(), fmt.Sprintf("%q=%s", rec.Key, rec.Value))
 			}
 		}
-	case "wordcount":
+	default:
 		words := wcShapeWords(43, n)
-		job.Conf.Combine = func(_ []byte, vals [][]byte) [][]byte {
-			var sum uint64
-			for _, v := range vals {
-				sum += binary.BigEndian.Uint64(v)
-			}
-			return [][]byte{binary.BigEndian.AppendUint64(nil, sum)}
-		}
+		job.Conf.Combine = identityCombiners[shape]
 		job.OTask = func(ctx *Context) error {
 			for i, w := range words {
 				// Distinct per-record counts make the partial sums — and so
 				// the value order NextGroup returns — depend on run order.
-				one := binary.BigEndian.AppendUint64(nil, uint64(i%7+1))
-				if err := ctx.SendRecord(kv.Record{Key: w, Value: one}); err != nil {
+				val := binary.BigEndian.AppendUint64(nil, uint64(i%7+1))
+				if shape == "wordcount-concat" {
+					// Record numbers make every value, and so every
+					// concatenation order, distinct. Eight bytes, like the
+					// counts, keep the frames, and so the combined record
+					// count the crash threshold is set against, the same.
+					val = []byte(fmt.Sprintf("%07d;", i))
+				}
+				if err := ctx.SendRecord(kv.Record{Key: w, Value: val}); err != nil {
 					return err
 				}
 			}
@@ -151,11 +178,7 @@ func identityJob(shape string, n int, out *identityOutput) *Job {
 				if err != nil || !ok {
 					return err
 				}
-				vals := make([]uint64, len(g.Values))
-				for i, v := range g.Values {
-					vals[i] = binary.BigEndian.Uint64(v)
-				}
-				out.add(ctx.Rank(), fmt.Sprintf("%q=%v", g.Key, vals))
+				out.add(ctx.Rank(), fmt.Sprintf("%q=%x", g.Key, g.Values))
 			}
 		}
 	}
@@ -234,7 +257,7 @@ func TestRawOrderFastPathIdentity(t *testing.T) {
 		opts []RunOption
 	}{{"mem", nil}, {"tcp", []RunOption{WithTCPTransport()}}}
 	for _, tr := range transports {
-		for _, shape := range []string{"terasort", "wordcount"} {
+		for _, shape := range []string{"terasort", "wordcount", "wordcount-concat", "wordcount-two"} {
 			for _, scenario := range []string{"plain", "spill", "crash-restart"} {
 				t.Run(tr.name+"/"+shape+"/"+scenario, func(t *testing.T) {
 					fast := runIdentityCase(t, shape, scenario, nil, tr.opts)

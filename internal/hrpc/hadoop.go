@@ -25,13 +25,16 @@ type HadoopServer struct {
 	calls    chan serverCall
 	mu       sync.Mutex
 	closed   bool
+	quit     chan struct{} // closed by Close: unblocks readers enqueueing calls
+	senders  sync.WaitGroup
 	wg       sync.WaitGroup
 	handlers int
 }
 
 type serverCall struct {
 	c    call
-	resp chan []byte // the connection's responder queue
+	resp chan<- []byte   // the connection's responder queue
+	gone <-chan struct{} // closed once the connection's responder stops
 }
 
 // NewHadoopServer starts a server on a loopback port with the given number
@@ -48,6 +51,7 @@ func NewHadoopServer(handler Handler, handlers int) (*HadoopServer, error) {
 		ln:       ln,
 		handler:  handler,
 		calls:    make(chan serverCall, 128),
+		quit:     make(chan struct{}),
 		handlers: handlers,
 	}
 	s.wg.Add(1)
@@ -83,28 +87,31 @@ func (s *HadoopServer) serveConn(conn net.Conn) {
 	if _, err := io.ReadFull(br, hdr); err != nil || string(hdr) != string(connectionHeader) {
 		return
 	}
+	// The responder queue is never closed: handlers may still be running
+	// calls from this connection when its reader stops, so they select on
+	// gone instead.
 	resp := make(chan []byte, 128)
+	gone := make(chan struct{})
 	done := make(chan struct{})
 	// Responder: serializes replies for this connection.
 	go func() {
 		defer close(done)
 		bw := bufio.NewWriter(conn)
-		for frame := range resp {
-			var l [4]byte
-			binary.BigEndian.PutUint32(l[:], uint32(len(frame)))
-			if _, err := bw.Write(l[:]); err != nil {
-				return
-			}
-			if _, err := bw.Write(frame); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
+		for {
+			select {
+			case frame := <-resp:
+				if err := writeReply(bw, frame); err != nil {
+					conn.Close() // stop the reader too
+					return
+				}
+			case <-gone:
 				return
 			}
 		}
 	}()
 	defer func() {
-		close(resp)
+		close(gone)
+		conn.Close() // unblock a responder stuck writing
 		<-done
 	}()
 	for {
@@ -120,13 +127,42 @@ func (s *HadoopServer) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
+		if !s.enqueue(serverCall{c: c, resp: resp, gone: gone}) {
 			return
 		}
-		s.calls <- serverCall{c: c, resp: resp}
+	}
+}
+
+// writeReply writes one length-prefixed reply frame and flushes it.
+func writeReply(bw *bufio.Writer, frame []byte) error {
+	var l [4]byte
+	binary.BigEndian.PutUint32(l[:], uint32(len(frame)))
+	if _, err := bw.Write(l[:]); err != nil {
+		return err
+	}
+	if _, err := bw.Write(frame); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// enqueue hands a call to the handler pool, reporting false once the
+// server is closed. Close waits for every enqueue in flight before it
+// closes the call queue, so no send can race that close.
+func (s *HadoopServer) enqueue(sc serverCall) bool {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return false
+	}
+	s.senders.Add(1)
+	s.mu.Unlock()
+	defer s.senders.Done()
+	select {
+	case s.calls <- sc:
+		return true
+	case <-s.quit:
+		return false
 	}
 }
 
@@ -140,14 +176,14 @@ func (s *HadoopServer) handlerLoop() {
 		} else {
 			frame = encodeReply(sc.c.id, value, "")
 		}
-		func() {
-			defer func() { recover() }() // connection responder may be gone
-			sc.resp <- frame
-		}()
+		select {
+		case sc.resp <- frame:
+		case <-sc.gone: // the connection closed while the call ran
+		}
 	}
 }
 
-// Close stops the server.
+// Close stops the server. Calls already queued still run.
 func (s *HadoopServer) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -155,8 +191,10 @@ func (s *HadoopServer) Close() error {
 		return nil
 	}
 	s.closed = true
+	close(s.quit)
 	s.mu.Unlock()
 	err := s.ln.Close()
+	s.senders.Wait()
 	close(s.calls)
 	return err
 }

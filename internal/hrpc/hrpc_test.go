@@ -258,3 +258,54 @@ func TestHadoopRPCTimeout(t *testing.T) {
 		t.Errorf("after timeout: %q %v", got, err)
 	}
 }
+
+// Closing the server while clients keep calling must neither race a
+// reader's enqueue against the close of the call queue nor strand a call:
+// every call returns, with its reply or a connection error.
+func TestHadoopServerCloseDuringCalls(t *testing.T) {
+	srv, err := NewHadoopServer(echoHandler, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clients []*HadoopClient
+	for c := 0; c < 4; c++ {
+		cl, err := DialHadoop(srv.Addr(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		cl.SetTimeout(10 * time.Second)
+		clients = append(clients, cl)
+	}
+	started := make(chan struct{}, len(clients))
+	var wg sync.WaitGroup
+	for c, cl := range clients {
+		wg.Add(1)
+		go func(c int, cl *HadoopClient) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				if i == 10 {
+					started <- struct{}{}
+				}
+				want := []byte(fmt.Sprintf("c%d-%d", c, i))
+				got, err := cl.Call("echo", want)
+				if errors.Is(err, ErrTimeout) {
+					t.Errorf("client %d call %d stranded", c, i)
+					return
+				}
+				if err != nil {
+					return // the server went away
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("client %d call %d: got %q", c, i, got)
+					return
+				}
+			}
+		}(c, cl)
+	}
+	for range clients {
+		<-started
+	}
+	srv.Close()
+	wg.Wait()
+}
