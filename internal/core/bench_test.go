@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"datampi/internal/kv"
@@ -72,6 +75,39 @@ func BenchmarkShuffleUnsorted(b *testing.B) {
 		if _, err := Run(shuffleJob(n, 4, 4, 2, conf)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOSendParallel is the O-side send path's layer probe: an
+// unsorted Common-mode job on the mem transport, with one O task and with
+// one per core, so a per-record cost that grows with the sender count
+// (a shared counter, a contended line) shows up as ns/record.
+func BenchmarkOSendParallel(b *testing.B) {
+	const n = 200000
+	sorted := false
+	for _, numO := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+		b.Run(fmt.Sprintf("numO=%d", numO), func(b *testing.B) {
+			job := shuffleJob(n, numO, 2, 2, Config{Sorted: &sorted})
+			job.Mode = Common
+			job.Slots = numO
+			job.OTask = func(ctx *Context) error {
+				rec := kv.Record{Key: make([]byte, 10), Value: make([]byte, 90)}
+				for i := ctx.Rank(); i < n; i += numO {
+					binary.BigEndian.PutUint64(rec.Key[2:], uint64(i))
+					if err := ctx.SendRecord(rec); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(job); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
+		})
 	}
 }
 

@@ -77,7 +77,8 @@ const (
 )
 
 // maxPooledFrame bounds the buffers the frame pool keeps, so one outsized
-// record does not pin a huge allocation forever.
+// record does not pin a huge allocation forever. A buffer sealed at the
+// default SPLBytes must stay below it, or no SPL frame would be recycled.
 const maxPooledFrame = 1 << 20
 
 // framePool recycles framed send buffers around the whole O-side path:
@@ -275,7 +276,10 @@ func prepareFrame(cfg *Config, frame []byte, nrec int64, scratch *[]kv.Record) (
 	if cfg.Combine != nil {
 		recs = kv.ApplyCombine(recs, cfg.compare(), cfg.Combine)
 	}
-	out := getFrame()
+	// Sorted output is exactly as long as the input (combined output no
+	// longer): reserve it once instead of growing through append's
+	// doublings to twice a full SPL buffer.
+	out := slices.Grow(getFrame(), len(frame)-frameHeaderLen)
 	for _, r := range recs {
 		out = kv.AppendRecord(out, r)
 	}

@@ -81,6 +81,88 @@ func TestPrepareFrameHashCombineAllocsNothing(t *testing.T) {
 	}
 }
 
+// teraFrame is a framed buffer of TeraSort-shaped records (random
+// printable 10-byte keys, 90-byte values) of at least size record bytes.
+func teraFrame(size int) []byte {
+	rng := rand.New(rand.NewSource(7))
+	frame := make([]byte, frameHeaderLen)
+	rec := kv.Record{Key: make([]byte, 10), Value: make([]byte, 90)}
+	for len(frame)-frameHeaderLen < size {
+		for j := range rec.Key {
+			rec.Key[j] = byte(' ' + rng.Intn(95))
+		}
+		frame = kv.AppendRecord(frame, rec)
+	}
+	return frame
+}
+
+// Sorting a full default-size TeraSort frame into a 4 KiB pooled frame
+// allocates once: the output is reserved at the input's length, not grown
+// through append's doublings.
+func TestPrepareFrameSortedAllocsOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	const runs = 20
+	src := teraFrame(defaultSPLBytes)
+	// The input is built past maxPooledFrame so prepareFrame's recycle
+	// drops it, and the output is never recycled: every run starts from a
+	// fresh 4 KiB frame put into the pool, like a first use of the pool.
+	// Each small frame is put once, so no two gets ever share one.
+	in := append(make([]byte, 0, maxPooledFrame+1), src...)
+	smalls := make([][]byte, runs+2)
+	for i := range smalls {
+		smalls[i] = make([]byte, frameHeaderLen, 4<<10)
+	}
+	cfg := &Config{}
+	cfg.Normalize(MapReduce)
+	var scratch []kv.Record
+	prepare := func() {
+		putFrame(smalls[0])
+		smalls = smalls[1:]
+		out, n, err := prepareFrame(cfg, in, 0, &scratch)
+		if err != nil || n == 0 || len(out) != len(src) {
+			t.Fatalf("prepareFrame: %d records, %d of %d bytes, %v", n, len(out), len(src), err)
+		}
+	}
+	prepare()
+	if allocs := testing.AllocsPerRun(runs, prepare); allocs > 1 {
+		t.Fatalf("prepareFrame allocated %v times per frame, want at most 1", allocs)
+	}
+}
+
+// A default-size SPL buffer must stay poolable: frameHeaderLen +
+// SPLBytes + splSlack within maxPooledFrame, and a buffer sealed at that
+// size comes back out of the frame pool.
+func TestDefaultSPLFrameIsPooled(t *testing.T) {
+	var cfg Config
+	cfg.Normalize(MapReduce)
+	if cfg.SPLBytes != defaultSPLBytes {
+		t.Fatalf("SPLBytes default = %d, want %d", cfg.SPLBytes, defaultSPLBytes)
+	}
+	if n := frameHeaderLen + cfg.SPLBytes + splSlack; n > maxPooledFrame {
+		t.Fatalf("a default SPL buffer needs %d bytes, over maxPooledFrame %d", n, maxPooledFrame)
+	}
+	rec := kv.Record{Key: make([]byte, 10), Value: make([]byte, 90)}
+	// sync.Pool may hand a frame to another P or drop it (at random under
+	// -race), so try a few freshly sealed buffers, each put exactly once.
+	for i := 0; i < 10; i++ {
+		s := newSPL(1, cfg.SPLBytes)
+		var sealed *partBuf
+		for sealed == nil {
+			sealed = s.add(0, rec)
+		}
+		if c := cap(sealed.data); c > maxPooledFrame {
+			t.Fatalf("sealed default-size buffer has cap %d, over maxPooledFrame %d", c, maxPooledFrame)
+		}
+		putFrame(sealed.data)
+		if f := getFrame(); &f[0] == &sealed.data[0] {
+			return
+		}
+	}
+	t.Fatal("a buffer sealed at the default SPLBytes never came back from the frame pool")
+}
+
 // A record-capped (streaming) buffer is never presized.
 func TestSPLRecordCappedStaysSmall(t *testing.T) {
 	s := newSPL(1, 64<<10)

@@ -82,7 +82,11 @@ type Config struct {
 
 	// SPLBytes is the send-partition-list flush threshold per (task,
 	// destination) buffer: when a partition buffer exceeds it, the buffer
-	// is sealed and handed to the communication thread. Default 64 KiB.
+	// is sealed and handed to the communication thread. Every sealed
+	// buffer is one sorted run the A side merges, so it also sets the
+	// A-side merge fan-in: about the partition's bytes / SPLBytes runs.
+	// Default 256 KiB; an O task's SPL holds at most NumA × (SPLBytes +
+	// 1 KiB) of records at once.
 	SPLBytes int
 
 	// MemCacheBytes bounds the intermediate data a process caches in
@@ -246,6 +250,10 @@ type Config struct {
 	Extra map[string]string
 }
 
+// defaultSPLBytes is Config.SPLBytes' default. A buffer sealed at it must
+// still fit the frame pool (maxPooledFrame); a test guards that.
+const defaultSPLBytes = 256 << 10
+
 // ErrInjectedFailure is returned by Runtime.Run when the configured fault
 // injection fires.
 var ErrInjectedFailure = errors.New("core: injected failure")
@@ -275,7 +283,7 @@ func (c *Config) Normalize(mode Mode) error {
 		c.Partition = kv.DefaultPartition
 	}
 	if c.SPLBytes <= 0 {
-		c.SPLBytes = 64 << 10
+		c.SPLBytes = defaultSPLBytes
 	}
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = 5 * time.Millisecond

@@ -40,7 +40,7 @@ type Context struct {
 	skip     int64 // records Send drops because a checkpoint covers them
 	cpTotal  int64 // records covered by reloaded checkpoints
 	sinceCP  int64 // records emitted since the last checkpoint round
-	sent     int64
+	sent     int64 // records sent, cumulative; runUser adds them to Runtime.sent
 	received int64
 	// lastFlush is the last time-based SPL drain (Streaming mode).
 	lastFlush time.Time

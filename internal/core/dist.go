@@ -151,6 +151,8 @@ func (rt *Runtime) byeEvent(p *process) eventMsg {
 		return ev
 	}
 	ev.RuntimeCounters = rt.ctrs.snapshot(rt.world.Stats())
+	// Every task has reported done by now, and runUser added its sends
+	// to rt.sent before that report: the total is complete.
 	ev.RecordsSent = rt.sent.Load()
 	ev.BytesShuffled = rt.bytesShuffled.Load()
 	ev.SpilledBytes = rt.spilledBytes.Load()

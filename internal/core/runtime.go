@@ -43,9 +43,13 @@ type Runtime struct {
 	failErr     error
 	failRank    int // worker the failure was observed on; -1 otherwise
 	// failed is stored true only after failErr is set, so err() can skip
-	// failMu on the per-record path while nothing has failed.
+	// failMu on the per-record path while nothing has failed. Nothing on
+	// that path writes near it: the line stays shared in every core's cache.
 	failed atomic.Bool
 
+	// sent is the job's record total. Tasks count their sends in
+	// Context.sent and runUser adds each task's count here once, so no
+	// record writes a cache line shared across O tasks.
 	sent          atomic.Int64
 	cpDurable     atomic.Int64
 	bytesShuffled atomic.Int64
@@ -90,6 +94,11 @@ type Runtime struct {
 	distCtrs   map[string]int64 // counters absorbed from worker byes
 
 	res Result
+
+	// injSent is InjectFailAfterRecords' global count, the one shared
+	// write per record; the padding keeps it off failed's cache line.
+	_       [64]byte
+	injSent atomic.Int64
 }
 
 var runtimeIDs atomic.Int64
@@ -595,13 +604,15 @@ func (rt *Runtime) deadWorker() int {
 	return -1
 }
 
-// countSend enforces fault injection and tallies sent records.
+// countSend is the per-record gate of every send: it surfaces a recorded
+// failure and enforces InjectFailAfterRecords, which needs a global count
+// and so keeps one shared counter of its own. The job's record total is
+// not kept here (see Runtime.sent).
 func (rt *Runtime) countSend() error {
 	if err := rt.err(); err != nil {
 		return err
 	}
-	n := rt.sent.Add(1)
-	if fa := rt.job.Conf.InjectFailAfterRecords; fa > 0 && n > fa {
+	if fa := rt.job.Conf.InjectFailAfterRecords; fa > 0 && rt.injSent.Add(1) > fa {
 		rt.fail(ErrInjectedFailure)
 		return ErrInjectedFailure
 	}

@@ -228,12 +228,16 @@ func (rt *Runtime) runATask(p *process, cmd ctrlMsg) {
 }
 
 // runUser invokes a user task function under the busy tracker, converting
-// panics into job failures rather than crashing the runtime.
+// panics into job failures rather than crashing the runtime. It adds the
+// records the call sent to the job total once, on success, error and
+// panic alike (ctx.sent persists across Iteration rounds, hence the base).
 func (rt *Runtime) runUser(fn TaskFunc, ctx *Context) (err error) {
 	if rt.job.Busy != nil {
 		defer rt.job.Busy.Track()()
 	}
+	base := ctx.sent
 	defer func() {
+		rt.sent.Add(ctx.sent - base)
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: task panicked: %v", r)
 		}

@@ -151,14 +151,14 @@ func FuzzHashCombine(f *testing.F) {
 	})
 }
 
-// BenchmarkHashCombine combines one 64 KiB WordCount SPL batch (Zipf words
+// BenchmarkHashCombine combines one full WordCount SPL batch (Zipf words
 // with 8-byte counts) by hash and by sort+combine.
 func BenchmarkHashCombine(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	zipf := rand.NewZipf(rng, 1.1, 1, 4999)
 	one := binary.BigEndian.AppendUint64(nil, 1)
 	var src []byte
-	for len(src) < 64<<10 {
+	for len(src) < splBatch {
 		src = AppendRecord(src, Record{Key: []byte(fmt.Sprintf("w%d", zipf.Uint64())), Value: one})
 	}
 	n, _ := CountRecords(src)

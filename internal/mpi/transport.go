@@ -191,8 +191,9 @@ type engineConfig struct {
 
 // defaultCoalesceBytes is the size-flush threshold: a batch (or a single
 // frame) at or above it is written without waiting on any deadline. The
-// threshold sits deliberately below the runtime's 64 KiB SPL frames, so
-// bulk shuffle data is never held back by a configured flush deadline.
+// threshold sits deliberately below the runtime's full SPL frames (256
+// KiB by default), so bulk shuffle data is never held back by a
+// configured flush deadline.
 //
 // The default flush deadline is zero — eager drain. The writer goroutine
 // ships whatever the batch holds as soon as the previous write returns,
@@ -205,7 +206,8 @@ const defaultCoalesceBytes = 16 << 10
 
 // defaultChunkBytes is the default chunked-transfer threshold and chunk
 // payload size (the BigMPI chunking strategy). It sits far above the
-// runtime's 64 KiB SPL frames — ordinary shuffle traffic never chunks —
+// runtime's SPL frames (256 KiB by default) — ordinary shuffle traffic
+// never chunks —
 // and far below maxFrameSize, so chunk frames stay cheap to buffer,
 // retry and checkpoint while oversized values stream through in
 // O(chunk) memory.
