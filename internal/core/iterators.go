@@ -49,34 +49,15 @@ func (c *closingIterator) Next() (kv.Record, error) {
 	return rec, err
 }
 
-// runIterator streams records out of one framed run buffer, decoding
-// lazily: the k-way merge behind NextGroup holds one cursor per run
-// instead of a materialized []Record per run, so consuming a partition
-// allocates nothing beyond the merge heap. Records alias the run buffer
-// (the mpi recv ownership contract hands it over for good).
-type runIterator struct {
-	rest []byte
-}
-
-func (r *runIterator) Next() (kv.Record, error) {
-	if len(r.rest) == 0 {
-		return kv.Record{}, io.EOF
-	}
-	rec, n, err := kv.ReadRecord(r.rest)
-	if err != nil {
-		return kv.Record{}, err
-	}
-	r.rest = r.rest[n:]
-	return rec, nil
-}
-
 // iteratorOverRuns builds an iterator over in-memory runs: a k-way merge in
 // sorted modes, plain concatenation otherwise. Each run is one lazy
-// cursor.
+// cursor (kv.FramedRun), so consuming a partition allocates nothing
+// beyond the merge tree; records alias the run buffers, which the mpi
+// recv ownership contract hands over for good.
 func (rt *Runtime) iteratorOverRuns(memRuns [][]byte, extra []kv.Iterator) (kv.Iterator, error) {
 	its := make([]kv.Iterator, 0, len(memRuns)+len(extra))
 	for _, run := range memRuns {
-		its = append(its, &runIterator{rest: run})
+		its = append(its, kv.NewFramedRun(run))
 	}
 	its = append(its, extra...)
 	if rt.job.Conf.sorted() {

@@ -50,6 +50,32 @@ func BenchmarkReadAllLocal(b *testing.B) {
 	}
 }
 
+// BenchmarkReadRecordsInSplit reads every split of a TeraSort-shaped file
+// (100-byte records, 4 MiB blocks, so a record straddles each boundary)
+// as the O tasks do.
+func BenchmarkReadRecordsInSplit(b *testing.B) {
+	const recSize = 100
+	fs := benchFS(b, 2, 4<<20)
+	data := make([]byte, (16<<20)/recSize*recSize)
+	if err := fs.WriteFile("/t", data, 0); err != nil {
+		b.Fatal(err)
+	}
+	splits, err := fs.Splits("/t")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range splits {
+			err := fs.ReadRecordsInSplit(s, recSize, 0, func([]byte) error { return nil })
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkReadLinesInSplit(b *testing.B) {
 	fs := benchFS(b, 2, 64<<10)
 	line := []byte("the quick brown fox jumps over the lazy dog\n")

@@ -40,41 +40,56 @@ func (fs *FileSystem) aliveHosts(b blockMeta) []int {
 	return out
 }
 
-// readBlockFrom reads one replica, trying the preferred host first and
-// failing over to the other live replicas.
-func (fs *FileSystem) readBlockFrom(b blockMeta, reader int) (data []byte, src int, err error) {
+// readChunks reads the checksum chunks of block b that cover the n bytes
+// at off, trying the preferred host first and failing over to the other
+// live replicas. It returns the n bytes, the host that served them and how
+// many bytes it read there.
+func (fs *FileSystem) readChunks(b blockMeta, reader int, off, n int64) (data []byte, src int, read int64, err error) {
 	fs.mu.Lock()
 	hosts := fs.aliveHosts(b)
 	fs.mu.Unlock()
 	if len(hosts) == 0 {
-		return nil, -1, fmt.Errorf("hdfs: block %d has no live replica", b.id)
+		return nil, -1, 0, fmt.Errorf("hdfs: block %d has no live replica", b.id)
 	}
 	// Preferred (local) replica first.
 	sort.SliceStable(hosts, func(i, j int) bool { return hosts[i] == reader && hosts[j] != reader })
+	lo := off / bytesPerChecksum * bytesPerChecksum
+	hi := min((off+n+bytesPerChecksum-1)/bytesPerChecksum*bytesPerChecksum, b.length)
 	var lastErr error
 	for _, h := range hosts {
-		f, err := fs.nodes[h].Open(blockFile(b.id))
+		buf, err := fs.readReplica(b, h, lo, hi)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		data := make([]byte, b.length)
-		_, err = io.ReadFull(f, data)
-		f.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		// Verify the block checksum, as the DFS client does; a corrupt
-		// replica triggers failover to the next one.
-		if crc := crc32.ChecksumIEEE(data); crc != b.crc {
-			lastErr = fmt.Errorf("hdfs: block %d replica on node %d corrupt (crc %08x != %08x)",
-				b.id, h, crc, b.crc)
-			continue
-		}
-		return data, h, nil
+		return buf[off-lo : off-lo+n], h, hi - lo, nil
 	}
-	return nil, -1, fmt.Errorf("hdfs: all replicas of block %d failed: %w", b.id, lastErr)
+	return nil, -1, 0, fmt.Errorf("hdfs: all replicas of block %d failed: %w", b.id, lastErr)
+}
+
+// readReplica reads bytes [lo, hi) of block b's replica on host h (lo on a
+// chunk boundary, hi on one or at the block's end) and verifies each chunk
+// checksum, as the DFS client does; a corrupt replica is an error, so the
+// caller fails over to the next one.
+func (fs *FileSystem) readReplica(b blockMeta, h int, lo, hi int64) ([]byte, error) {
+	f, err := fs.nodes[h].Open(blockFile(b.id))
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, hi-lo)
+	_, err = f.ReadAt(buf, lo)
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	c := int(lo / bytesPerChecksum)
+	for i := 0; i < len(buf); i, c = i+bytesPerChecksum, c+1 {
+		if crc := crc32.ChecksumIEEE(buf[i:min(i+bytesPerChecksum, len(buf))]); crc != b.crcs[c] {
+			return nil, fmt.Errorf("hdfs: block %d replica on node %d corrupt in chunk %d (crc %08x != %08x)",
+				b.id, h, c, crc, b.crcs[c])
+		}
+	}
+	return buf, nil
 }
 
 // CorruptReplica flips a byte of one replica on disk (test/chaos helper:

@@ -5,6 +5,12 @@
 // tasks next to their data (the paper's Data-centric feature and the
 // Fig. 8(a) block-size tuning experiment). Remote block reads are charged
 // to a netsim.Link, so locality misses have a measurable cost.
+//
+// As in HDFS (dfs.bytes-per-checksum), a block carries one CRC-32 per
+// 64 KiB chunk rather than one for the whole block. Every read verifies
+// each chunk it covers and fails over to the next replica on a mismatch,
+// so a read of a few bytes (the tail of a record or line that crosses
+// into the next block) fetches and checks one chunk, not the block.
 package hdfs
 
 import (
@@ -36,11 +42,23 @@ type Config struct {
 // DefaultConfig mirrors a small test deployment: 4 MB blocks, 2 replicas.
 func DefaultConfig() Config { return Config{BlockSize: 4 << 20, Replication: 2} }
 
+// bytesPerChecksum is the span one block checksum covers.
+const bytesPerChecksum = 64 << 10
+
 type blockMeta struct {
 	id     int64
 	length int64
-	crc    uint32 // CRC-32 of the block contents (HDFS block checksum)
-	hosts  []int  // datanode indices holding a replica
+	crcs   []uint32 // CRC-32 of each bytesPerChecksum chunk of the block
+	hosts  []int    // datanode indices holding a replica
+}
+
+// chunkCRCs checksums data chunk by chunk.
+func chunkCRCs(data []byte) []uint32 {
+	crcs := make([]uint32, 0, (len(data)+bytesPerChecksum-1)/bytesPerChecksum)
+	for off := 0; off < len(data); off += bytesPerChecksum {
+		crcs = append(crcs, crc32.ChecksumIEEE(data[off:min(off+bytesPerChecksum, len(data))]))
+	}
+	return crcs
 }
 
 type fileMeta struct {
@@ -257,12 +275,13 @@ func (w *Writer) flushBlock(data []byte) error {
 			return err
 		}
 	}
+	crcs := chunkCRCs(data)
 	fs.mu.Lock()
 	fm := fs.files[w.path]
 	fm.blocks = append(fm.blocks, blockMeta{
 		id:     id,
 		length: int64(len(data)),
-		crc:    crc32.ChecksumIEEE(data),
+		crcs:   crcs,
 		hosts:  hosts,
 	})
 	fm.size += int64(len(data))
@@ -324,6 +343,13 @@ func (fs *FileSystem) Locations(path string) ([]BlockLocation, error) {
 // are charged to the configured network link. The second result reports
 // whether the read was local.
 func (fs *FileSystem) ReadBlock(path string, idx int, reader int) ([]byte, bool, error) {
+	return fs.readRange(path, idx, reader, 0, -1)
+}
+
+// readRange is ReadBlock for the n bytes at offset off of the block (n < 0:
+// up to the block's end). It reads and verifies only the checksum chunks
+// that cover the range, and a remote read charges the link for those.
+func (fs *FileSystem) readRange(path string, idx, reader int, off, n int64) ([]byte, bool, error) {
 	fs.mu.Lock()
 	fm, ok := fs.files[path]
 	if !ok {
@@ -336,14 +362,20 @@ func (fs *FileSystem) ReadBlock(path string, idx int, reader int) ([]byte, bool,
 	}
 	b := fm.blocks[idx]
 	fs.mu.Unlock()
+	if n < 0 {
+		n = b.length - off
+	}
+	if off < 0 || n < 0 || off+n > b.length {
+		return nil, false, fmt.Errorf("hdfs: range [%d,%d) of block %d, length %d", off, off+n, idx, b.length)
+	}
 
-	data, src, err := fs.readBlockFrom(b, reader)
+	data, src, read, err := fs.readChunks(b, reader, off, n)
 	if err != nil {
 		return nil, false, err
 	}
 	local := src == reader
 	if !local && fs.cfg.Link != nil {
-		fs.cfg.Link.Transfer(b.length, 64, 1)
+		fs.cfg.Link.Transfer(read, 64, 1)
 	}
 	return data, local, nil
 }

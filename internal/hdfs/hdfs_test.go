@@ -325,7 +325,7 @@ func TestConfigValidation(t *testing.T) {
 // blockDigest is one block of a file as the namenode records it.
 type blockDigest struct {
 	length int64
-	crc    uint32
+	crcs   string // the chunk CRCs, printed
 }
 
 func fileDigest(t *testing.T, fs *FileSystem, path string) []blockDigest {
@@ -338,7 +338,7 @@ func fileDigest(t *testing.T, fs *FileSystem, path string) []blockDigest {
 	}
 	out := make([]blockDigest, len(fm.blocks))
 	for i, b := range fm.blocks {
-		out[i] = blockDigest{b.length, b.crc}
+		out[i] = blockDigest{b.length, fmt.Sprint(b.crcs)}
 	}
 	return out
 }

@@ -41,13 +41,18 @@ func SplitsForRank(splits []Split, rank, size int) []Split {
 	return out
 }
 
-// blockStream reads a file's blocks sequentially starting at a block index.
+// blockStream reads a file sequentially from the start of one block:
+// that block whole, then one checksum chunk at a time, so a split whose
+// last line runs past its block reads the following blocks only as far as
+// that line reaches.
 type blockStream struct {
 	fs     *FileSystem
 	path   string
 	reader int
-	idx    int
-	nblk   int
+	locs   []BlockLocation
+	start  int   // the block read whole
+	idx    int   // block being read
+	off    int64 // next offset to read in block idx
 	cur    []byte
 }
 
@@ -56,19 +61,27 @@ func newBlockStream(fs *FileSystem, path string, startBlock, reader int) (*block
 	if err != nil {
 		return nil, err
 	}
-	return &blockStream{fs: fs, path: path, reader: reader, idx: startBlock, nblk: len(locs)}, nil
+	return &blockStream{fs: fs, path: path, reader: reader, locs: locs, start: startBlock, idx: startBlock}, nil
 }
 
-// fill loads the next block; returns io.EOF at the end of the file.
+// fill loads the next block or chunk; returns io.EOF at the end of the
+// file.
 func (b *blockStream) fill() error {
-	if b.idx >= b.nblk {
+	if b.idx < len(b.locs) && b.off == b.locs[b.idx].Length {
+		b.idx, b.off = b.idx+1, 0
+	}
+	if b.idx >= len(b.locs) {
 		return io.EOF
 	}
-	data, _, err := b.fs.ReadBlock(b.path, b.idx, b.reader)
+	n := b.locs[b.idx].Length - b.off
+	if b.idx > b.start {
+		n = min(n, bytesPerChecksum)
+	}
+	data, _, err := b.fs.readRange(b.path, b.idx, b.reader, b.off, n)
 	if err != nil {
 		return err
 	}
-	b.idx++
+	b.off += n
 	b.cur = data
 	return nil
 }
@@ -171,22 +184,19 @@ func (fs *FileSystem) ReadRecordsInSplit(s Split, recSize int, reader int, fn fu
 	if pos >= len(data) {
 		return nil
 	}
-	// Record crosses into following blocks.
+	// The record crosses into the following blocks: read just its tail.
 	rec := append([]byte(nil), data[pos:]...)
 	locs, err := fs.Locations(s.Path)
 	if err != nil {
 		return err
 	}
 	for next := s.Block.Index + 1; next < len(locs) && len(rec) < recSize; next++ {
-		nd, _, err := fs.ReadBlock(s.Path, next, reader)
+		need := min(int64(recSize-len(rec)), locs[next].Length)
+		nd, _, err := fs.readRange(s.Path, next, reader, 0, need)
 		if err != nil {
 			return err
 		}
-		need := recSize - len(rec)
-		if need > len(nd) {
-			need = len(nd)
-		}
-		rec = append(rec, nd[:need]...)
+		rec = append(rec, nd...)
 	}
 	if len(rec) == recSize {
 		return fn(rec)

@@ -160,20 +160,33 @@ func BenchmarkSortTera(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeTera merges 190 sorted runs in raw-byte order and through
-// a Compare func value. That is the fan-in one TeraSort A task saw at the
-// old 64 KiB SPL batch; at the 256 KiB default it sees about 57 runs.
+// BenchmarkMergeTera merges the runs one TeraSort A task sees at the
+// 256 KiB SPL default, about 57 runs of one SPL batch each: as slices in
+// raw-byte order and through a Compare func value, and as framed run
+// buffers in raw-byte order, the shape the A side merges them in.
 func BenchmarkMergeTera(b *testing.B) {
-	runs := teraRuns(190, 130)
+	const nruns = 57
+	runs := teraRuns(nruns, splBatch/100)
+	frames := make([][]byte, nruns)
+	for r, run := range runs {
+		for _, rec := range run {
+			frames[r] = AppendRecord(frames[r], rec)
+		}
+	}
 	for _, c := range []struct {
-		name string
-		cmp  Compare
-	}{{"raw", nil}, {"func", DefaultCompare}} {
+		name   string
+		cmp    Compare
+		framed bool
+	}{{"raw", nil, false}, {"func", DefaultCompare, false}, {"framed", nil, true}} {
 		b.Run(c.name, func(b *testing.B) {
-			its := make([]Iterator, len(runs))
+			its := make([]Iterator, nruns)
 			for i := 0; i < b.N; i++ {
 				for r := range its {
-					its[r] = NewSliceIterator(runs[r])
+					if c.framed {
+						its[r] = NewFramedRun(frames[r])
+					} else {
+						its[r] = NewSliceIterator(runs[r])
+					}
 				}
 				m, err := NewMerger(c.cmp, its...)
 				if err != nil {
@@ -187,7 +200,7 @@ func BenchmarkMergeTera(b *testing.B) {
 					}
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*190*130), "ns/rec")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nruns*len(runs[0])), "ns/rec")
 		})
 	}
 }

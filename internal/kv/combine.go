@@ -27,11 +27,12 @@ type valueLink struct {
 // combineScratch is HashCombine's reusable working memory. All but vals is
 // offsets into the input, so pooling it pins no frame.
 type combineScratch struct {
-	slots  []int32 // open-addressing table: group index + 1, 0 = empty
-	groups []combineGroup
-	links  []valueLink
-	rows   []prefixIdx
-	vals   [][]byte // the one values slice every Combine call sees
+	slots   []int32 // open-addressing table: group index + 1, 0 = empty
+	groups  []combineGroup
+	links   []valueLink
+	rows    []prefixIdx // the distinct keys, sorted by sortRows
+	rowsBuf []prefixIdx
+	vals    [][]byte // the one values slice every Combine call sees
 }
 
 var (
@@ -84,21 +85,13 @@ func HashCombine(dst, src []byte, combine Combine) ([]byte, int64, error) {
 		s.add(src, rec.Key, int32(cap(src)-cap(rec.Key)))
 	}
 
-	rows := slices.Grow(s.rows[:0], len(s.groups))[:len(s.groups)]
-	s.rows = rows
+	ng := len(s.groups)
+	rows := slices.Grow(s.rows[:0], ng)[:ng]
+	s.rows, s.rowsBuf = rows, slices.Grow(s.rowsBuf[:0], ng)[:ng]
 	for i := range s.groups {
 		rows[i] = prefixIdx{pfx: keyPrefix(s.groups[i].key(src)), idx: int32(i)}
 	}
-	// Distinct keys never tie, so no position tiebreak is needed.
-	slices.SortFunc(rows, func(a, b prefixIdx) int {
-		if a.pfx != b.pfx {
-			if a.pfx < b.pfx {
-				return -1
-			}
-			return 1
-		}
-		return bytes.Compare(s.groups[a.idx].key(src), s.groups[b.idx].key(src))
-	})
+	rows = sortRows(rows, s.rowsBuf, func(i int32) []byte { return s.groups[i].key(src) })
 
 	var out int64
 	maxVals := 0

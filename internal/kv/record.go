@@ -226,14 +226,107 @@ type prefixIdx struct {
 	idx int32
 }
 
+// radixMin is the row count below which sortRows uses a comparison sort:
+// every radix pass walks 256 buckets however few rows there are.
+const radixMin = 64
+
+// sortRows sorts rows by prefix, then by full key (key returns the key of
+// row index idx), then by idx, and returns the sorted rows, which are
+// either rows or buf (as long as rows).
+//
+// It is a stable LSD radix sort over the prefix's 8 bytes, skipping every
+// byte on which all rows agree. Rows enter in idx order, so equal prefixes
+// leave in idx order too, and only those runs still need the full keys: a
+// run whose keys are all equal is already in order, which keeps a large
+// duplicate group linear.
+func sortRows(rows, buf []prefixIdx, key func(int32) []byte) []prefixIdx {
+	byKey := func(a, b prefixIdx) int {
+		if a.pfx != b.pfx {
+			if a.pfx < b.pfx {
+				return -1
+			}
+			return 1
+		}
+		if c := bytes.Compare(key(a.idx), key(b.idx)); c != 0 {
+			return c
+		}
+		return int(a.idx) - int(b.idx)
+	}
+	if len(rows) < radixMin {
+		slices.SortFunc(rows, byKey)
+		return rows
+	}
+	rows = radixSortPrefix(rows, buf[:len(rows)])
+	for i := 0; i < len(rows); {
+		j := i + 1
+		for j < len(rows) && rows[j].pfx == rows[i].pfx {
+			j++
+		}
+		if run := rows[i:j]; len(run) > 1 && !sameKeys(run, key) {
+			slices.SortFunc(run, byKey)
+		}
+		i = j
+	}
+	return rows
+}
+
+// radixSortPrefix stably sorts rows by prefix alone, ping-ponging through
+// buf, and returns whichever of the two holds the result.
+func radixSortPrefix(rows, buf []prefixIdx) []prefixIdx {
+	var counts [8][256]int32
+	for _, r := range rows {
+		p := r.pfx
+		counts[0][byte(p)]++
+		counts[1][byte(p>>8)]++
+		counts[2][byte(p>>16)]++
+		counts[3][byte(p>>24)]++
+		counts[4][byte(p>>32)]++
+		counts[5][byte(p>>40)]++
+		counts[6][byte(p>>48)]++
+		counts[7][byte(p>>56)]++
+	}
+	n := int32(len(rows))
+	src, dst := rows, buf
+	for d := range counts {
+		c, shift := &counts[d], uint(8*d)
+		if c[byte(rows[0].pfx>>shift)] == n {
+			continue // every row has this byte: the pass would move nothing
+		}
+		var sum int32
+		for b, k := range c {
+			c[b], sum = sum, sum+k
+		}
+		for _, r := range src {
+			b := byte(r.pfx >> shift)
+			dst[c[b]] = r
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// sameKeys reports whether every row of run has the same full key.
+func sameKeys(run []prefixIdx, key func(int32) []byte) bool {
+	k0 := key(run[0].idx)
+	for _, r := range run[1:] {
+		if !bytes.Equal(key(r.idx), k0) {
+			return false
+		}
+	}
+	return true
+}
+
 // sortScratch is SortRecords' reusable working memory: the permutation
-// being sorted (an index column, or prefix+index rows in raw-byte order)
-// and the buffer the permutation is applied through. Pooled because the
-// hot path sorts one SPL batch per flush.
+// being sorted (an index column, or prefix+index rows and the radix
+// sort's second row buffer in raw-byte order) and the buffer the
+// permutation is applied through. Pooled because the hot path sorts one
+// SPL batch per flush.
 type sortScratch struct {
-	idx  []int32
-	rows []prefixIdx
-	tmp  []Record
+	idx     []int32
+	rows    []prefixIdx
+	rowsBuf []prefixIdx
+	tmp     []Record
 }
 
 var sortScratchPool sync.Pool
@@ -248,9 +341,8 @@ var sortScratchPool sync.Pool
 // CPU profiles. Instead, sort an int32 permutation (pdqsort over plain
 // ints, no barriers) with the original position as tiebreak — which IS
 // emission-order stability — and apply it with 2n Record moves. In
-// raw-byte order each row also carries the key's 8-byte prefix, so most
-// comparisons are one integer compare that never touches the key bytes;
-// only prefix ties read the full keys.
+// raw-byte order each row instead carries the key's 8-byte prefix and is
+// radix sorted on it (sortRows); only prefix ties read the full keys.
 func SortRecords(recs []Record, cmp Compare) {
 	n := len(recs)
 	if n < 2 {
@@ -273,24 +365,13 @@ func SortRecords(recs []Record, cmp Compare) {
 	tmp := s.tmp[:n]
 	if cmp == nil {
 		if cap(s.rows) < n {
-			s.rows = make([]prefixIdx, n)
+			s.rows, s.rowsBuf = make([]prefixIdx, n), make([]prefixIdx, n)
 		}
 		rows := s.rows[:n]
 		for i := range rows {
 			rows[i] = prefixIdx{pfx: keyPrefix(recs[i].Key), idx: int32(i)}
 		}
-		slices.SortFunc(rows, func(a, b prefixIdx) int {
-			if a.pfx != b.pfx {
-				if a.pfx < b.pfx {
-					return -1
-				}
-				return 1
-			}
-			if c := bytes.Compare(recs[a.idx].Key, recs[b.idx].Key); c != 0 {
-				return c
-			}
-			return int(a.idx) - int(b.idx)
-		})
+		rows = sortRows(rows, s.rowsBuf, func(i int32) []byte { return recs[i].Key })
 		for i, r := range rows {
 			tmp[i] = recs[r.idx]
 		}
