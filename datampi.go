@@ -48,16 +48,18 @@
 //
 // # Options and cancellation
 //
-// Run is configured with RunOptions: WithTransport selects and tunes the
-// MPI data plane, WithProcessLaunch spawns real worker OS
+// Every job setting lives on Config, the conf parameter of MPI_D_Init:
+// codecs, the Table II functions, buffer sizes, pipeline widths (§IV-C),
+// fault tolerance, and the data plane's progress-engine knobs alike.
+// RunOptions say only how a run is hosted and observed: WithTransport
+// selects the MPI data plane, WithProcessLaunch spawns real worker OS
 // processes and runs the data plane across them (pair it with
-// RunWorkerIfSpawned at the top of main), WithPrepareWorkers and
-// WithMergeWorkers size the shuffle pipelines (§IV-C), WithTrace streams
-// a Chrome trace_event profile of the run, and WithCounters retains the
-// built-in runtime counters on Result.RuntimeCounters. RunContext is Run
-// bound to a context.Context: cancelling the context aborts the master
-// sweep and every in-flight send, merge and receive, and the error
-// unwraps to ctx.Err().
+// RunWorkerIfSpawned at the top of main), WithTrace streams a Chrome
+// trace_event profile of the run, and WithCounters retains the built-in
+// runtime counters on Result.RuntimeCounters. RunContext is Run bound to
+// a context.Context: cancelling the context aborts the master sweep and
+// every in-flight send, merge and receive, and the error unwraps to
+// ctx.Err().
 //
 // # Errors
 //
@@ -166,46 +168,25 @@ var (
 	NullCodec         = kv.Null
 )
 
-// RunOption configures a run: transport, pipeline widths, observability.
-// Later options win over earlier ones.
+// RunOption configures how a run is hosted and observed: transport,
+// process launch, trace and counters. Job settings live on Config. Later
+// options win over earlier ones.
 type RunOption func(*runConfig)
 
 // runConfig collects the option state RunContext applies around the core
 // runtime.
 type runConfig struct {
-	transport      TransportConfig
-	proc           bool
-	procOutput     io.Writer
-	traceOut       io.Writer
-	counters       bool
-	prepareWorkers int
-	mergeWorkers   int
-}
-
-// override sets *dst to v when v is positive; zero keeps *dst as set.
-func override[T int | time.Duration](dst *T, v T) {
-	if v > 0 {
-		*dst = v
-	}
-}
-
-// applyConf writes the options' nonzero pipeline and transport knobs into
-// conf, leaving the rest as the caller set them.
-func (rc *runConfig) applyConf(conf *Config) {
-	override(&conf.PrepareWorkers, rc.prepareWorkers)
-	override(&conf.MergeWorkers, rc.mergeWorkers)
-	t := &rc.transport
-	override(&conf.CoalesceBytes, t.CoalesceBytes)
-	override(&conf.CoalesceDeadline, t.CoalesceDeadline)
-	override(&conf.DrainTimeout, t.DrainTimeout)
-	override(&conf.ChunkBytes, t.ChunkBytes)
-	override(&conf.MaxFrameBytes, t.MaxFrameBytes)
+	transport  TransportKind
+	proc       bool
+	procOutput io.Writer
+	traceOut   io.Writer
+	counters   bool
 }
 
 // coreTransport returns the core option selecting the in-process
 // transport (none for the default in-memory channels).
 func (rc *runConfig) coreTransport() []core.RunOption {
-	switch rc.transport.Kind {
+	switch rc.transport {
 	case TransportTCP:
 		return []core.RunOption{core.WithTCPTransport()}
 	case TransportShm:
@@ -226,60 +207,24 @@ const (
 	// transport enabled: an in-process world is all one host, so every
 	// rank pair's traffic rides lock-free shared-memory rings instead of
 	// sockets. Under WithProcessLaunch the rings are on by default
-	// (same-host worker pairs are selected automatically); set
-	// Config.ShmOff to force all pairs onto TCP.
+	// (same-host worker pairs are selected automatically). Config.ShmOff
+	// forces all pairs onto TCP in both cases.
 	TransportShm
 )
 
-// TransportConfig consolidates every data-plane knob behind one option
-// (WithTransport): which transport carries the frames and how its
-// progress engine batches, drains, chunks and caps them. The zero value
-// of any knob field keeps the corresponding default (or whatever the
-// matching Config field already says), so callers set only what they
-// mean. Kind is always applied: its zero value is TransportMem.
+// TransportConfig selects the MPI data plane of a run (WithTransport).
+// The progress engine under it — batching, drain bound, chunking, frame
+// cap — is tuned on Config.
 type TransportConfig struct {
 	// Kind selects the transport; the zero value is TransportMem.
 	Kind TransportKind
-	// CoalesceBytes / CoalesceDeadline tune the progress engine's send
-	// batching (see Config.CoalesceBytes / Config.CoalesceDeadline).
-	CoalesceBytes    int
-	CoalesceDeadline time.Duration
-	// DrainTimeout bounds the transport's close-time drain barrier (see
-	// Config.DrainTimeout).
-	DrainTimeout time.Duration
-	// ChunkBytes is the large-value chunk threshold for both transparent
-	// transport chunking and Context.SendValue (see Config.ChunkBytes).
-	ChunkBytes int
-	// MaxFrameBytes lowers the transport's send-side frame cap (see
-	// Config.MaxFrameBytes).
-	MaxFrameBytes int
 }
 
-// WithTransport configures the MPI data plane from one place: transport
-// kind plus the progress-engine knobs. Nonzero knob fields override the
-// matching Config fields; zero fields leave them as set. When given more
-// than once, the last call wins: its Kind replaces the earlier one (a
-// zero Kind resets the run to TransportMem), and its nonzero knob fields
-// replace earlier values while its zero fields keep them.
+// WithTransport selects the MPI data plane. When given more than once,
+// the last call wins (a zero Kind resets the run to TransportMem).
 func WithTransport(tc TransportConfig) RunOption {
-	return func(c *runConfig) {
-		t := &c.transport
-		t.Kind = tc.Kind
-		override(&t.CoalesceBytes, tc.CoalesceBytes)
-		override(&t.CoalesceDeadline, tc.CoalesceDeadline)
-		override(&t.DrainTimeout, tc.DrainTimeout)
-		override(&t.ChunkBytes, tc.ChunkBytes)
-		override(&t.MaxFrameBytes, tc.MaxFrameBytes)
-	}
+	return func(c *runConfig) { c.transport = tc.Kind }
 }
-
-// WithChunkBytes sets the large-value chunk threshold for the run: a
-// transport message above it travels as sequenced continuation frames,
-// and Context.SendValue streams values above it through the blob store in
-// chunks of this size (see Config.ChunkBytes; default 4 MiB). It sets
-// only the threshold: unlike WithTransport(TransportConfig{ChunkBytes:
-// n}), it leaves the transport kind as an earlier WithTransport chose it.
-func WithChunkBytes(n int) RunOption { return func(c *runConfig) { c.transport.ChunkBytes = n } }
 
 // WithProcessLaunch makes Run a true launcher (§IV-B): it spawns
 // Job.Procs worker OS processes (re-executions of this binary), completes
@@ -298,7 +243,7 @@ func WithChunkBytes(n int) RunOption { return func(c *runConfig) { c.transport.C
 // process dying is detected rather than hung on; the failure then
 // reaches the caller as ErrRankDead. Fault injection (Config.FaultPlan /
 // FaultInjector) is in-process only and is rejected — kill the worker
-// processes instead. WithProcessLaunch overrides the transport options.
+// processes instead. WithProcessLaunch overrides WithTransport.
 func WithProcessLaunch(w io.Writer) RunOption {
 	return func(c *runConfig) {
 		c.proc = true
@@ -321,16 +266,6 @@ func WithTrace(w io.Writer) RunOption { return func(c *runConfig) { c.traceOut =
 // atomics either way; the option only controls reporting).
 func WithCounters() RunOption { return func(c *runConfig) { c.counters = true } }
 
-// WithPrepareWorkers sizes the O-side prepare pool (§IV-C): how many
-// workers sort/combine/re-encode sealed buffers concurrently. n <= 0
-// leaves Config.PrepareWorkers as set (default GOMAXPROCS).
-func WithPrepareWorkers(n int) RunOption { return func(c *runConfig) { c.prepareWorkers = n } }
-
-// WithMergeWorkers sizes the A-side merge pool (§IV-C): how many workers
-// merge received runs into the Receive Partition List concurrently. n <=
-// 0 leaves Config.MergeWorkers as set (default GOMAXPROCS).
-func WithMergeWorkers(n int) RunOption { return func(c *runConfig) { c.mergeWorkers = n } }
-
 // Run launches a job, as mpidrun does:
 //
 //	mpidrun -O n -A m -M mode -jar jarname classname params
@@ -349,7 +284,6 @@ func RunContext(ctx context.Context, job *Job, opts ...RunOption) (*Result, erro
 	for _, o := range opts {
 		o(&rc)
 	}
-	rc.applyConf(&job.Conf)
 	var tr *trace.Tracer
 	if rc.traceOut != nil && job.Trace == nil {
 		tr = trace.New()
@@ -362,15 +296,11 @@ func RunContext(ctx context.Context, job *Job, opts ...RunOption) (*Result, erro
 			job.Conf.IOTimeout = 10 * time.Second
 		}
 		cl, cerr := launch.StartCluster(launch.ClusterConfig{
-			Procs:            job.Procs,
-			IOTimeout:        job.Conf.IOTimeout,
-			Output:           rc.procOutput,
-			CoalesceBytes:    job.Conf.CoalesceBytes,
-			CoalesceDeadline: job.Conf.CoalesceDeadline,
-			ShmOff:           job.Conf.ShmOff,
-			DrainTimeout:     job.Conf.DrainTimeout,
-			ChunkBytes:       job.Conf.ChunkBytes,
-			MaxFrameBytes:    job.Conf.MaxFrameBytes,
+			Procs:     job.Procs,
+			IOTimeout: job.Conf.IOTimeout,
+			Output:    rc.procOutput,
+			Engine:    core.Engine(&job.Conf),
+			ShmOff:    job.Conf.ShmOff,
 		})
 		if cerr != nil {
 			return nil, &RunError{Phase: "launch", Rank: -1, Err: cerr}
@@ -434,7 +364,7 @@ func RunWorkerIfSpawned(makeJob func() *Job) (bool, error) {
 // handle is stopped, the A side fires event-time windows as watermarks
 // pass them, and Wait blocks for the final Result (whose RuntimeCounters
 // include the stream.* flow-control and windowing counters). The
-// transport and pipeline options apply as in Run; WithProcessLaunch does
+// transport option applies as in Run; WithProcessLaunch does
 // not — proc-mode streaming goes through the launch package's JobSpec
 // (app "streamagg") or mpidrun, where the service survives worker
 // SIGKILLs via partial restart.
@@ -447,7 +377,6 @@ func RunStream(sj *StreamJob, opts ...RunOption) (*StreamHandle, error) {
 		return nil, &RunError{Phase: "launch", Rank: -1,
 			Err: errors.New("WithProcessLaunch is not supported by RunStream; use the launch package's streaming JobSpec")}
 	}
-	rc.applyConf(&sj.Conf)
 	return core.RunStream(sj, rc.coreTransport()...)
 }
 

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -204,7 +206,7 @@ func TestRunOptionsObservability(t *testing.T) {
 	mkJob := func() *datampi.Job {
 		return &datampi.Job{
 			Mode: datampi.MapReduce,
-			Conf: datampi.Config{ValueCodec: datampi.Int64Codec},
+			Conf: datampi.Config{ValueCodec: datampi.Int64Codec, PrepareWorkers: 2, MergeWorkers: 2},
 			NumO: 2, NumA: 2, Procs: 2,
 			OTask: func(c *datampi.Context) error {
 				for i := 0; i < 100; i++ {
@@ -229,8 +231,6 @@ func TestRunOptionsObservability(t *testing.T) {
 		datampi.WithTransport(datampi.TransportConfig{Kind: datampi.TransportMem}),
 		datampi.WithCounters(),
 		datampi.WithTrace(&buf),
-		datampi.WithPrepareWorkers(2),
-		datampi.WithMergeWorkers(2),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -257,19 +257,18 @@ func TestRunOptionsObservability(t *testing.T) {
 	}
 }
 
-// TestWithTransportLastCallWins pins the transport-option contract:
-// WithChunkBytes after WithTransport keeps the chosen kind, while a second
-// WithTransport replaces it (a zero Kind is TransportMem) and keeps the
-// earlier call's knobs where its own are zero.
+// TestWithTransportLastCallWins pins the transport-option contract: an
+// option after WithTransport keeps the chosen kind, while a second
+// WithTransport replaces it (a zero Kind is TransportMem).
 func TestWithTransportLastCallWins(t *testing.T) {
-	tcp := datampi.WithTransport(datampi.TransportConfig{Kind: datampi.TransportTCP, DrainTimeout: 3 * time.Second})
+	tcp := datampi.WithTransport(datampi.TransportConfig{Kind: datampi.TransportTCP})
 	for _, tc := range []struct {
 		name    string
 		opts    []datampi.RunOption
 		wantTCP bool
 	}{
-		{"tcp-then-chunk-bytes", []datampi.RunOption{tcp, datampi.WithChunkBytes(8 << 10)}, true},
-		{"tcp-then-zero-kind", []datampi.RunOption{tcp, datampi.WithTransport(datampi.TransportConfig{ChunkBytes: 8 << 10})}, false},
+		{"tcp-then-trace", []datampi.RunOption{tcp, datampi.WithTrace(io.Discard)}, true},
+		{"tcp-then-zero-kind", []datampi.RunOption{tcp, datampi.WithTransport(datampi.TransportConfig{})}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			job := &datampi.Job{
@@ -287,10 +286,59 @@ func TestWithTransportLastCallWins(t *testing.T) {
 			if dials := res.RuntimeCounters["mpi.dials"]; (dials > 0) != tc.wantTCP {
 				t.Errorf("mpi.dials = %d, want TCP=%v", dials, tc.wantTCP)
 			}
-			if job.Conf.ChunkBytes != 8<<10 || job.Conf.DrainTimeout != 3*time.Second {
-				t.Errorf("ChunkBytes = %d, DrainTimeout = %v; want 8192 and 3s", job.Conf.ChunkBytes, job.Conf.DrainTimeout)
-			}
 		})
+	}
+}
+
+// TestShmOffWinsUnderTransportShm pins Config.ShmOff as the one shm switch
+// that always wins: a job run under TransportShm with ShmOff set must open
+// no ring (every pair on TCP) and report every job counter exactly as the
+// ring run does — only the mpi.* wire counters may differ.
+func TestShmOffWinsUnderTransportShm(t *testing.T) {
+	run := func(shmOff bool) map[string]int64 {
+		t.Helper()
+		job := &datampi.Job{
+			Mode: datampi.MapReduce,
+			Conf: datampi.Config{ValueCodec: datampi.Int64Codec, ShmOff: shmOff},
+			// NumO <= Procs*Slots: every task is placed in the first
+			// dispatch wave, so the per-pair counters are deterministic.
+			NumO: 4, NumA: 2, Procs: 2, Slots: 2,
+			OTask: func(c *datampi.Context) error {
+				for i := 0; i < 200; i++ {
+					if err := c.Send(fmt.Sprintf("w%02d", (i*7+c.Rank())%23), int64(i)); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+			ATask: drainGroups,
+		}
+		res, err := datampi.Run(job,
+			datampi.WithTransport(datampi.TransportConfig{Kind: datampi.TransportShm}),
+			datampi.WithCounters())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.RuntimeCounters
+	}
+	on, off := run(false), run(true)
+	if on["mpi.shm.conns"] == 0 {
+		t.Fatal("TransportShm opened no shm ring: the ShmOff comparison is vacuous")
+	}
+	if got := off["mpi.shm.conns"]; got != 0 {
+		t.Errorf("ShmOff under TransportShm: mpi.shm.conns = %d, want 0", got)
+	}
+	jobCounters := func(rc map[string]int64) map[string]int64 {
+		out := map[string]int64{}
+		for k, v := range rc {
+			if !strings.HasPrefix(k, "mpi.") {
+				out[k] = v
+			}
+		}
+		return out
+	}
+	if a, b := jobCounters(on), jobCounters(off); !reflect.DeepEqual(a, b) {
+		t.Errorf("job counters differ with ShmOff:\n  rings:   %v\n  ShmOff: %v", a, b)
 	}
 }
 

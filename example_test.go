@@ -111,11 +111,11 @@ func ExampleRunContext() {
 
 // ExampleWithCounters opts in to the built-in runtime counters — shuffle
 // volume, combine and spill traffic — and sizes the shuffle pipelines
-// explicitly with the worker-pool options.
+// explicitly on Config.
 func ExampleWithCounters() {
 	job := &datampi.Job{
 		Mode: datampi.MapReduce,
-		Conf: datampi.Config{ValueCodec: datampi.Int64Codec},
+		Conf: datampi.Config{ValueCodec: datampi.Int64Codec, PrepareWorkers: 2, MergeWorkers: 2},
 		NumO: 2,
 		NumA: 1,
 		OTask: func(c *datampi.Context) error {
@@ -139,8 +139,6 @@ func ExampleWithCounters() {
 	res, err := datampi.Run(job,
 		datampi.WithTransport(datampi.TransportConfig{Kind: datampi.TransportMem}),
 		datampi.WithCounters(),
-		datampi.WithPrepareWorkers(2),
-		datampi.WithMergeWorkers(2),
 		datampi.WithTrace(io.Discard),
 	)
 	if err != nil {
@@ -192,20 +190,26 @@ func ExampleContext_SendValue() {
 			}
 		},
 	}
-	// WithChunkBytes lowers the threshold so this small example really
-	// chunks; production runs usually keep the 4 MiB default.
-	if _, err := datampi.Run(job, datampi.WithChunkBytes(4096)); err != nil {
+	// A 4 KiB chunk threshold makes this small example really chunk;
+	// production runs usually keep the 4 MiB default.
+	job.Conf.ChunkBytes = 4096
+	if _, err := datampi.Run(job); err != nil {
 		panic(err)
 	}
 	// Output:
 	// clip-0001: 65536 bytes
 }
 
-// ExampleWithTransport configures the whole data plane in one option:
-// transport kind plus the progress-engine knobs.
+// ExampleWithTransport runs a job over TCP loopback sockets. The
+// progress-engine knobs under the transport are job settings, on Config.
 func ExampleWithTransport() {
 	job := &datampi.Job{
 		Mode: datampi.MapReduce,
+		Conf: datampi.Config{
+			CoalesceBytes:    32 << 10,
+			CoalesceDeadline: 200 * time.Microsecond,
+			ChunkBytes:       1 << 20,
+		},
 		NumO: 2,
 		NumA: 1,
 		OTask: func(c *datampi.Context) error {
@@ -221,12 +225,7 @@ func ExampleWithTransport() {
 			}
 		},
 	}
-	_, err := datampi.Run(job, datampi.WithTransport(datampi.TransportConfig{
-		Kind:             datampi.TransportTCP,
-		CoalesceBytes:    32 << 10,
-		CoalesceDeadline: 200 * time.Microsecond,
-		ChunkBytes:       1 << 20,
-	}))
+	_, err := datampi.Run(job, datampi.WithTransport(datampi.TransportConfig{Kind: datampi.TransportTCP}))
 	fmt.Println("err:", err)
 	// Output:
 	// err: <nil>

@@ -75,7 +75,6 @@ func shuffleJob(records, prepWorkers, mergeWorkers int, k shuffleKnobs, res **co
 				ValueCodec:     kv.Int64,
 				PrepareWorkers: prepWorkers,
 				MergeWorkers:   mergeWorkers,
-				Shm:            k.shm,
 				ShmOff:         k.shmOff,
 			},
 			NumO: 4, NumA: 2, Procs: 2, Slots: 2,
@@ -104,7 +103,10 @@ func shuffleJob(records, prepWorkers, mergeWorkers int, k shuffleKnobs, res **co
 			},
 		}
 		var opts []core.RunOption
-		if k.tcp {
+		switch {
+		case k.shm:
+			opts = append(opts, core.WithShmTransport())
+		case k.tcp:
 			opts = append(opts, core.WithTCPTransport())
 		}
 		r, err := core.Run(job, opts...)

@@ -5,10 +5,21 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"datampi/internal/kv"
 )
+
+// allocsPerRunNoGC is testing.AllocsPerRun with the collector held off:
+// a GC mid-measurement empties the sync.Pools the measured code draws
+// from, and refilling them counts as allocations steady state never makes.
+func allocsPerRunNoGC(runs int, f func()) float64 {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(runs, f)
+}
 
 // A size-sealed SPL buffer keeps its pooled frame while the records fit,
 // then grows once, straight to maxSize + splSlack, and is never regrown
@@ -76,7 +87,7 @@ func TestPrepareFrameHashCombineAllocsNothing(t *testing.T) {
 		putFrame(out)
 	}
 	prepare()
-	if allocs := testing.AllocsPerRun(100, prepare); allocs != 0 {
+	if allocs := allocsPerRunNoGC(100, prepare); allocs != 0 {
 		t.Fatalf("prepareFrame allocated %v times per frame, want 0", allocs)
 	}
 }
@@ -126,7 +137,7 @@ func TestPrepareFrameSortedAllocsOnce(t *testing.T) {
 		}
 	}
 	prepare()
-	if allocs := testing.AllocsPerRun(runs, prepare); allocs > 1 {
+	if allocs := allocsPerRunNoGC(runs, prepare); allocs > 1 {
 		t.Fatalf("prepareFrame allocated %v times per frame, want at most 1", allocs)
 	}
 }

@@ -162,18 +162,12 @@ type Config struct {
 	// persisted different sizes of checkpoints".
 	InjectFailAfterCPRecords int64
 
-	// Shm opts an in-process TCP world into the shared-memory ring
-	// transport: every rank pair (trivially same-host) moves its batches
-	// through mmap-ed SPSC rings instead of loopback sockets. Proc-mode
-	// launches ignore it — there the launcher enables shm by default and
-	// per-pair selection happens at rendezvous via the boot-id/nonce
-	// handshake. ShmOff below wins when both are set.
-	Shm bool
-
 	// ShmOff disables shared-memory transport selection everywhere
 	// (ablation): same-host pairs fall back to loopback TCP, the
-	// pre-shm behaviour. Job counters are byte-identical either way —
-	// only the mpi.* wire counters may differ.
+	// pre-shm behaviour, whether the rings were asked for in-process
+	// (WithShmTransport) or are the proc-mode launcher's default. Job
+	// counters are byte-identical either way — only the mpi.* wire
+	// counters may differ.
 	ShmOff bool
 
 	// DrainTimeout bounds the transport close drain barrier: how long

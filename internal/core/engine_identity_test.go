@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -23,13 +24,14 @@ import (
 var engineVariants = []struct {
 	name string
 	tune func(*Config)
+	shm  bool // run over WithShmTransport instead of the case's transport
 }{
-	{"engine-on", func(*Config) {}},
-	{"tuned", func(c *Config) { c.CoalesceBytes = 256; c.CoalesceDeadline = time.Millisecond }},
+	{"engine-on", func(*Config) {}, false},
+	{"tuned", func(c *Config) { c.CoalesceBytes = 256; c.CoalesceDeadline = time.Millisecond }, false},
 	// Same-host rings and the ShmOff ablation: the transport under the
 	// batches changes, the application-visible counters must not.
-	{"shm", func(c *Config) { c.Shm = true }},
-	{"shm-off", func(c *Config) { c.Shm = true; c.ShmOff = true }},
+	{"shm", func(*Config) {}, true},
+	{"shm-off", func(c *Config) { c.ShmOff = true }, true},
 }
 
 // stripWireCounters drops the mpi.* keys — the only counters an engine
@@ -45,13 +47,18 @@ func stripWireCounters(rc map[string]int64) map[string]int64 {
 	return out
 }
 
-// assertEngineIdentity runs the job factory once per engine variant and
-// fails on any non-mpi counter differing from the engine-on baseline.
-func assertEngineIdentity(t *testing.T, run func(tune func(*Config)) map[string]int64) {
+// assertEngineIdentity runs the job factory once per engine variant over
+// the case's transport options and fails on any non-mpi counter differing
+// from the engine-on baseline.
+func assertEngineIdentity(t *testing.T, opts []RunOption, run func(tune func(*Config), opts ...RunOption) map[string]int64) {
 	t.Helper()
 	var base map[string]int64
 	for _, v := range engineVariants {
-		got := stripWireCounters(run(v.tune))
+		vopts := opts
+		if v.shm {
+			vopts = append(slices.Clone(opts), WithShmTransport())
+		}
+		got := stripWireCounters(run(v.tune, vopts...))
 		if base == nil {
 			base = got
 			continue
@@ -74,7 +81,7 @@ func assertEngineIdentity(t *testing.T, run func(tune func(*Config)) map[string]
 func TestEngineCounterIdentityCommon(t *testing.T) {
 	t.Parallel()
 	transportCases(t, func(t *testing.T, opts ...RunOption) {
-		assertEngineIdentity(t, func(tune func(*Config)) map[string]int64 {
+		assertEngineIdentity(t, opts, func(tune func(*Config), opts ...RunOption) map[string]int64 {
 			// NumO <= Procs*Slots so every task is assigned in the first
 			// dispatch wave: task placement (and with it the per-pair
 			// counters) is deterministic, making the full-map comparison
@@ -98,7 +105,7 @@ func TestEngineCounterIdentityCommon(t *testing.T) {
 func TestEngineCounterIdentityMapReduce(t *testing.T) {
 	t.Parallel()
 	transportCases(t, func(t *testing.T, opts ...RunOption) {
-		assertEngineIdentity(t, func(tune func(*Config)) map[string]int64 {
+		assertEngineIdentity(t, opts, func(tune func(*Config), opts ...RunOption) map[string]int64 {
 			// Small key space so the combiner folds records: combine.in/out
 			// must survive batching bit-for-bit too.
 			recs := genWorkload(73, 4, 150, 8)
@@ -127,7 +134,7 @@ func TestEngineCounterIdentityIteration(t *testing.T) {
 	iterKey := func(o, r, j int) int64 { return int64((o*31 + r*17 + j) % 11) }
 	const numO, numA, rounds, perRound = 2, 2, 3, 60
 	transportCases(t, func(t *testing.T, opts ...RunOption) {
-		assertEngineIdentity(t, func(tune func(*Config)) map[string]int64 {
+		assertEngineIdentity(t, opts, func(tune func(*Config), opts ...RunOption) map[string]int64 {
 			var mu sync.Mutex
 			sums := make(map[int64]int64)
 			job := &Job{
@@ -205,7 +212,7 @@ func TestEngineCounterIdentityIteration(t *testing.T) {
 func TestEngineCounterIdentityStreaming(t *testing.T) {
 	t.Parallel()
 	transportCases(t, func(t *testing.T, opts ...RunOption) {
-		assertEngineIdentity(t, func(tune func(*Config)) map[string]int64 {
+		assertEngineIdentity(t, opts, func(tune func(*Config), opts ...RunOption) map[string]int64 {
 			recs := genWorkload(79, 3, 100, 15)
 			out := newSumCollector(2)
 			job := &Job{

@@ -163,7 +163,7 @@ func WithTCPTransport() RunOption { return func(c *runCfg) { c.tcp = true } }
 // WithShmTransport runs the data plane over the TCP transport with the
 // same-host shared-memory ring transport enabled: an in-process world is
 // all one host, so every rank pair's traffic rides rings instead of
-// sockets. Equivalent to Config.Shm, as a per-run transport choice.
+// sockets. Config.ShmOff overrides it and keeps every pair on TCP.
 func WithShmTransport() RunOption { return func(c *runCfg) { c.tcp = true; c.shm = true } }
 
 // WithLink charges all MPI traffic to the given shaped network link.
@@ -291,7 +291,7 @@ func (rt *Runtime) setup() error {
 	if rt.rcfg.tcp {
 		wopts = append(wopts, mpi.WithTCP())
 	}
-	if rt.rcfg.shm {
+	if rt.rcfg.shm && !j.Conf.ShmOff {
 		wopts = append(wopts, mpi.WithShm())
 	}
 	if rt.rcfg.link != nil {
@@ -309,7 +309,7 @@ func (rt *Runtime) setup() error {
 	if d := j.Conf.IOTimeout; d > 0 {
 		wopts = append(wopts, mpi.WithSendTimeout(d))
 	}
-	wopts = append(wopts, engineOptions(&j.Conf)...)
+	wopts = append(wopts, mpi.WithEngine(Engine(&j.Conf)))
 	rt.ctrs = newRuntimeCounters(j.Procs)
 	if j.Trace.Enabled() {
 		// TCP retransmits surface as instants on the retrying sender's row.
@@ -360,28 +360,19 @@ func (rt *Runtime) setup() error {
 	return nil
 }
 
-// engineOptions translates the Config's transport progress-engine knobs
-// (coalescing thresholds, shm, drain and chunking) into mpi world options.
-// Shared by the in-process master, the proc-mode master world, and — via
-// the launch env protocol — worker processes.
-func engineOptions(c *Config) []mpi.Option {
-	var opts []mpi.Option
-	if c.CoalesceBytes > 0 || c.CoalesceDeadline > 0 {
-		opts = append(opts, mpi.WithCoalesce(c.CoalesceBytes, c.CoalesceDeadline))
+// Engine maps the Config's progress-engine knobs onto the mpi engine: the
+// one translation from job settings to the transport, used by the
+// in-process master and by the proc-mode launcher, which applies it to its
+// own world and ships it to every worker world. Zero fields keep the
+// engine's defaults.
+func Engine(c *Config) mpi.Engine {
+	return mpi.Engine{
+		CoalesceBytes:    c.CoalesceBytes,
+		CoalesceDeadline: c.CoalesceDeadline,
+		DrainTimeout:     c.DrainTimeout,
+		ChunkBytes:       c.ChunkBytes,
+		MaxFrameBytes:    c.MaxFrameBytes,
 	}
-	if c.Shm && !c.ShmOff {
-		opts = append(opts, mpi.WithShm())
-	}
-	if c.DrainTimeout > 0 {
-		opts = append(opts, mpi.WithDrainTimeout(c.DrainTimeout))
-	}
-	if c.ChunkBytes > 0 {
-		opts = append(opts, mpi.WithChunkBytes(c.ChunkBytes))
-	}
-	if c.MaxFrameBytes > 0 {
-		opts = append(opts, mpi.WithMaxFrame(c.MaxFrameBytes))
-	}
-	return opts
 }
 
 // nameTraceRows labels the Chrome-trace process and thread rows: one

@@ -2,6 +2,7 @@ package launch
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -40,11 +41,10 @@ type ClusterConfig struct {
 	// Output receives the workers' relayed stdout/stderr, each line
 	// prefixed "[w<rank>] ". Defaults to os.Stderr.
 	Output io.Writer
-	// Transport progress-engine knobs, applied to the master's world and
-	// forwarded to every worker via EnvCoalesce so the whole fleet runs
-	// one engine configuration (see core.Config.CoalesceBytes).
-	CoalesceBytes    int
-	CoalesceDeadline time.Duration
+	// Engine is the progress-engine configuration of the master's world,
+	// shipped to every worker in EnvEngine so the whole fleet runs one
+	// engine (core.Engine derives it from a job's Config).
+	Engine mpi.Engine
 	// ShmOff disables the same-host shared-memory transport for the whole
 	// fleet; every pair stays on TCP. Default (false) lets the launcher
 	// create a segment directory and the ranks select shm per pair.
@@ -53,14 +53,6 @@ type ClusterConfig struct {
 	// created under (default mpi.ShmBaseDir(): /dev/shm when present).
 	// Tests point it at a temp dir to check the lifecycle.
 	ShmDir string
-	// DrainTimeout bounds every world's close-time drain barrier
-	// (mpi.WithDrainTimeout); zero keeps the transport default.
-	DrainTimeout time.Duration
-	// ChunkBytes / MaxFrameBytes set the fleet's chunked-transfer
-	// threshold and send-side frame cap (mpi.WithChunkBytes /
-	// mpi.WithMaxFrame); zero keeps the transport defaults.
-	ChunkBytes    int
-	MaxFrameBytes int
 
 	// shmDir is the created segment directory for this attempt, set by
 	// StartCluster and removed again on Shutdown/killAll. Unexported:
@@ -83,21 +75,12 @@ func (cfg *ClusterConfig) spawnEnv(rank, attempt int, rvAddr string, shm bool) [
 		fmt.Sprintf("%s=%d", EnvAttempt, attempt),
 		fmt.Sprintf("%s=%d", EnvIOTimeout, cfg.IOTimeout.Milliseconds()),
 	)
-	if cfg.CoalesceBytes > 0 || cfg.CoalesceDeadline > 0 {
-		env = append(env, fmt.Sprintf("%s=%d,%d", EnvCoalesce,
-			cfg.CoalesceBytes, cfg.CoalesceDeadline.Microseconds()))
-	}
 	if shm && cfg.shmDir != "" {
 		env = append(env, EnvShmDir+"="+cfg.shmDir)
 	}
-	if cfg.DrainTimeout > 0 {
-		env = append(env, fmt.Sprintf("%s=%d", EnvDrain, cfg.DrainTimeout.Milliseconds()))
-	}
-	if cfg.ChunkBytes > 0 {
-		env = append(env, fmt.Sprintf("%s=%d", EnvChunk, cfg.ChunkBytes))
-	}
-	if cfg.MaxFrameBytes > 0 {
-		env = append(env, fmt.Sprintf("%s=%d", EnvMaxFrame, cfg.MaxFrameBytes))
+	if cfg.Engine != (mpi.Engine{}) {
+		js, _ := json.Marshal(cfg.Engine) // only numbers: cannot fail
+		env = append(env, EnvEngine+"="+string(js))
 	}
 	return append(env, cfg.ExtraEnv...)
 }
@@ -105,24 +88,12 @@ func (cfg *ClusterConfig) spawnEnv(rank, attempt int, rvAddr string, shm bool) [
 // worldOptions are the mpi options for the master's own world, matching
 // what spawnEnv ships to the workers.
 func (cfg *ClusterConfig) worldOptions() []mpi.Option {
-	var wopts []mpi.Option
+	wopts := []mpi.Option{mpi.WithEngine(cfg.Engine)}
 	if cfg.IOTimeout > 0 {
 		wopts = append(wopts, mpi.WithSendTimeout(cfg.IOTimeout))
 	}
-	if cfg.CoalesceBytes > 0 || cfg.CoalesceDeadline > 0 {
-		wopts = append(wopts, mpi.WithCoalesce(cfg.CoalesceBytes, cfg.CoalesceDeadline))
-	}
 	if cfg.shmDir != "" {
 		wopts = append(wopts, mpi.WithShmSegments(cfg.shmDir))
-	}
-	if cfg.DrainTimeout > 0 {
-		wopts = append(wopts, mpi.WithDrainTimeout(cfg.DrainTimeout))
-	}
-	if cfg.ChunkBytes > 0 {
-		wopts = append(wopts, mpi.WithChunkBytes(cfg.ChunkBytes))
-	}
-	if cfg.MaxFrameBytes > 0 {
-		wopts = append(wopts, mpi.WithMaxFrame(cfg.MaxFrameBytes))
 	}
 	return wopts
 }

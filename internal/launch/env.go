@@ -12,6 +12,7 @@
 package launch
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -30,24 +31,16 @@ const (
 	EnvAttempt    = "DATAMPI_ATTEMPT"
 	EnvIOTimeout  = "DATAMPI_IOTIMEOUT_MS"
 	EnvSpec       = "DATAMPI_SPEC"
-	// EnvCoalesce carries the transport progress-engine knobs so worker
-	// worlds run the same engine configuration as the master's: "" (engine
-	// defaults) or "<bytes>,<deadline_us>".
-	EnvCoalesce = "DATAMPI_COALESCE"
+	// EnvEngine carries the master's progress-engine configuration
+	// (mpi.Engine) as JSON, so every worker world batches, drains and
+	// chunks exactly as the master's does. Unset means engine defaults.
+	EnvEngine = "DATAMPI_ENGINE"
 	// EnvShmDir is the launcher's shared-memory segment directory. A
 	// worker that can read its nonce advertises the derived host identity
 	// alongside its TCP address and maps the rings; unset (or unreadable)
 	// means this worker pairs over TCP only. Respawn replacements never
 	// receive it — their rings hold a dead incarnation's state.
 	EnvShmDir = "DATAMPI_SHM_DIR"
-	// EnvDrain overrides the transport's close-time drain barrier bound,
-	// in milliseconds (mpi.WithDrainTimeout).
-	EnvDrain = "DATAMPI_DRAIN_MS"
-	// EnvChunk / EnvMaxFrame carry the chunked-transfer threshold and the
-	// send-side frame cap in bytes (mpi.WithChunkBytes / mpi.WithMaxFrame)
-	// so worker worlds chunk exactly as the master's does.
-	EnvChunk    = "DATAMPI_CHUNK_BYTES"
-	EnvMaxFrame = "DATAMPI_MAXFRAME_BYTES"
 )
 
 // orphanExit is the exit code of a worker whose launcher disappeared
@@ -92,6 +85,10 @@ func JoinAsWorker() (*Worker, error) {
 	attempt, _ := envInt(EnvAttempt, 0)
 	ioms, _ := envInt(EnvIOTimeout, 0)
 	ioTimeout := time.Duration(ioms) * time.Millisecond
+	eng, err := engineFromEnv()
+	if err != nil {
+		return nil, err
+	}
 
 	// If the launcher dies, its end of our stdin pipe closes; exit rather
 	// than linger as an orphan holding ports and checkpoint files.
@@ -124,12 +121,7 @@ func JoinAsWorker() (*Worker, error) {
 	if ioTimeout > 0 {
 		wopts = append(wopts, mpi.WithSendTimeout(ioTimeout))
 	}
-	engOpts, err := engineEnvOptions()
-	if err != nil {
-		ep.Close()
-		return nil, err
-	}
-	wopts = append(wopts, engOpts...)
+	wopts = append(wopts, mpi.WithEngine(eng))
 	world, err := mpi.JoinWorld(procs+1, rank, ep, dir, wopts...)
 	if err != nil {
 		ep.Close()
@@ -139,34 +131,16 @@ func JoinAsWorker() (*Worker, error) {
 		Attempt: attempt, IOTimeout: ioTimeout}, nil
 }
 
-// engineEnvOptions parses the progress-engine spawn variables (EnvCoalesce,
-// EnvDrain, EnvChunk, EnvMaxFrame) into world options for JoinWorld. Unset
-// variables select the engine defaults.
-func engineEnvOptions() ([]mpi.Option, error) {
-	var opts []mpi.Option
-	if v := os.Getenv(EnvCoalesce); v != "" {
-		var bytes, us int
-		if _, err := fmt.Sscanf(v, "%d,%d", &bytes, &us); err != nil {
-			return nil, fmt.Errorf("launch: bad %s=%q: %w", EnvCoalesce, v, err)
+// engineFromEnv decodes the master's progress-engine configuration from
+// EnvEngine; unset selects the engine defaults.
+func engineFromEnv() (mpi.Engine, error) {
+	var eng mpi.Engine
+	if v := os.Getenv(EnvEngine); v != "" {
+		if err := json.Unmarshal([]byte(v), &eng); err != nil {
+			return eng, fmt.Errorf("launch: bad %s=%q: %w", EnvEngine, v, err)
 		}
-		opts = append(opts, mpi.WithCoalesce(bytes, time.Duration(us)*time.Microsecond))
 	}
-	if ms, err := envInt(EnvDrain, 0); err != nil {
-		return nil, err
-	} else if ms > 0 {
-		opts = append(opts, mpi.WithDrainTimeout(time.Duration(ms)*time.Millisecond))
-	}
-	if n, err := envInt(EnvChunk, 0); err != nil {
-		return nil, err
-	} else if n > 0 {
-		opts = append(opts, mpi.WithChunkBytes(n))
-	}
-	if n, err := envInt(EnvMaxFrame, 0); err != nil {
-		return nil, err
-	} else if n > 0 {
-		opts = append(opts, mpi.WithMaxFrame(n))
-	}
-	return opts, nil
+	return eng, nil
 }
 
 func envInt(key string, def int) (int, error) {

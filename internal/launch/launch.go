@@ -70,23 +70,22 @@ func Launch(spec *JobSpec, opt Options) (*core.Result, error) {
 }
 
 func launchAttempt(spec *JobSpec, specEnv string, opt Options, attempt int) (*core.Result, error) {
+	job := spec.BuildJob(-1, attempt, opt.Trace)
 	cluster, err := StartCluster(ClusterConfig{
-		Procs:         spec.Procs,
-		Exe:           opt.Exe,
-		Args:          opt.Args,
-		ExtraEnv:      []string{EnvSpec + "=" + specEnv},
-		Attempt:       attempt,
-		IOTimeout:     spec.IOTimeout(),
-		Output:        opt.Output,
-		ShmOff:        spec.ShmOff,
-		ShmDir:        opt.ShmDir,
-		ChunkBytes:    spec.ChunkBytes,
-		MaxFrameBytes: spec.MaxFrameBytes,
+		Procs:     spec.Procs,
+		Exe:       opt.Exe,
+		Args:      opt.Args,
+		ExtraEnv:  []string{EnvSpec + "=" + specEnv},
+		Attempt:   attempt,
+		IOTimeout: spec.IOTimeout(),
+		Output:    opt.Output,
+		Engine:    core.Engine(&job.Conf),
+		ShmOff:    spec.ShmOff,
+		ShmDir:    opt.ShmDir,
 	})
 	if err != nil {
 		return nil, err
 	}
-	job := spec.BuildJob(-1, attempt, opt.Trace)
 	runOpts := []core.RunOption{core.WithWorld(cluster.World())}
 	if spec.PartialRestart {
 		runOpts = append(runOpts, core.WithRespawn(cluster.Respawn))

@@ -61,8 +61,8 @@ type chunkAsm struct {
 // all).
 func (w *World) initChunking(eng engineConfig) {
 	eng.normalize()
-	w.chunkBytes = eng.chunkBytes
-	w.maxFrame = eng.maxFrame
+	w.chunkBytes = eng.ChunkBytes
+	w.maxFrame = eng.MaxFrameBytes
 	w.chunkAsm = make(map[chunkKey]*chunkAsm)
 }
 

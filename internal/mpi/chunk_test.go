@@ -37,7 +37,7 @@ func TestChunkedTransferConformance(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			w, err := NewWorld(2, append([]Option{WithChunkBytes(th)}, tc.opts...)...)
+			w, err := NewWorld(2, append([]Option{WithEngine(Engine{ChunkBytes: th})}, tc.opts...)...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestChunkedMessageAboveFrameCap(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			opts := append([]Option{WithChunkBytes(1 << 12), WithMaxFrame(1 << 16)}, tc.opts...)
+			opts := append([]Option{WithEngine(Engine{ChunkBytes: 1 << 12, MaxFrameBytes: 1 << 16})}, tc.opts...)
 			w, err := NewWorld(2, opts...)
 			if err != nil {
 				t.Fatal(err)

@@ -39,15 +39,15 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		{"tcp", plain(WithTCP()), true},
 		// Threshold above every test payload: nothing size-flushes, all
 		// delivery rides the deadline timer.
-		{"tcp/deadline-flush", plain(WithTCP(), WithCoalesce(1<<20, 200*time.Microsecond)), true},
+		{"tcp/deadline-flush", plain(WithTCP(), WithEngine(Engine{CoalesceBytes: 1 << 20, CoalesceDeadline: 200 * time.Microsecond})), true},
 		// Tiny threshold: batches ship every couple of frames on the size
 		// trigger; the short deadline only covers each tail.
-		{"tcp/size-flush", plain(WithTCP(), WithCoalesce(64, 20*time.Millisecond)), true},
+		{"tcp/size-flush", plain(WithTCP(), WithEngine(Engine{CoalesceBytes: 64, CoalesceDeadline: 20 * time.Millisecond})), true},
 		// Same-host rings instead of sockets: the same batched wire format
 		// deposited into shm SPSC rings. Rings never reset (no resettable
 		// path), so the contract here is FIFO/ordering/interleave.
 		{"shm", plain(WithTCP(), WithShm()), false},
-		{"shm/size-flush", plain(WithTCP(), WithShm(), WithCoalesce(64, 20*time.Millisecond)), false},
+		{"shm/size-flush", plain(WithTCP(), WithShm(), WithEngine(Engine{CoalesceBytes: 64, CoalesceDeadline: 20 * time.Millisecond})), false},
 	}
 	if !testing.Short() {
 		chaos := func(tcp bool) func() ([]Option, *fault.Injector) {
@@ -263,7 +263,7 @@ func TestTransportConformance(t *testing.T) {
 // and a large frame then forces the flush over a fresh dial. Nothing may
 // be dropped or double-delivered, and order must hold.
 func TestCoalesceMidBatchReset(t *testing.T) {
-	w, err := NewWorld(2, WithTCP(), WithCoalesce(1<<20, time.Hour))
+	w, err := NewWorld(2, WithTCP(), WithEngine(Engine{CoalesceBytes: 1 << 20, CoalesceDeadline: time.Hour}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestCoalesceMidBatchReset(t *testing.T) {
 // hang this receive until the test timeout.
 func TestCoalesceDeadlineFlushLatency(t *testing.T) {
 	const deadline = 5 * time.Millisecond
-	w, err := NewWorld(2, WithTCP(), WithCoalesce(1<<20, deadline))
+	w, err := NewWorld(2, WithTCP(), WithEngine(Engine{CoalesceBytes: 1 << 20, CoalesceDeadline: deadline}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestCoalescedOrderingUnderLinkChaos(t *testing.T) {
 		fault.Rule{Kind: fault.Reset, Src: fault.Any, Dst: fault.Any, Prob: 0.1})
 	inj := fault.NewInjector(plan)
 	w, err := NewWorld(4, WithTCP(), WithFaults(inj),
-		WithSendTimeout(10*time.Second), WithCoalesce(512, time.Millisecond))
+		WithSendTimeout(10*time.Second), WithEngine(Engine{CoalesceBytes: 512, CoalesceDeadline: time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

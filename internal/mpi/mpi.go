@@ -138,22 +138,9 @@ func WithRetryHook(fn func(src, dst, attempt int)) Option {
 	return func(c *config) { c.onRetry = fn }
 }
 
-// WithCoalesce tunes the TCP transport's send progress engine: sends
-// deposit frames into a per-connection batch that a writer goroutine
-// drains in single vectored writes. By default the writer drains eagerly
-// — batching emerges only while the socket is busy, and a lone frame
-// pays no added latency. A frame of bytes or more, or a batch reaching
-// bytes, forces an immediate flush; a positive deadline instead holds a
-// sub-threshold batch open that long after its first frame (maximum
-// batching, at a latency cost). Zero or negative bytes keeps the 16 KiB
-// default; zero deadline is the eager default. The in-memory transport
-// ignores it.
-func WithCoalesce(bytes int, deadline time.Duration) Option {
-	return func(c *config) {
-		c.eng.coalesceBytes = bytes
-		c.eng.coalesceDeadline = deadline
-	}
-}
+// WithEngine sets the world's progress-engine configuration (see
+// Engine); zero fields keep their defaults.
+func WithEngine(e Engine) Option { return func(c *config) { c.eng.Engine = e } }
 
 // WithShm runs every rank pair of an in-process TCP world over
 // shared-memory rings: the progress engine's batches are deposited into
@@ -171,31 +158,6 @@ func WithShm() Option { return func(c *config) { c.eng.shmAuto = true } }
 // rings, everyone else keeps TCP. Selection is per pair and degrades to
 // TCP on any failure. The launcher owns the directory's lifecycle.
 func WithShmSegments(dir string) Option { return func(c *config) { c.eng.shmDir = dir } }
-
-// WithDrainTimeout bounds how long World.Close waits for the transport
-// progress engine to flush acknowledged-but-unwritten frames (the drain
-// barrier, shared by the TCP and shm paths). Zero or negative keeps the
-// 2s default; slow CI environments raise it, latency-sensitive teardown
-// lowers it.
-func WithDrainTimeout(d time.Duration) Option { return func(c *config) { c.eng.drainTimeout = d } }
-
-// WithChunkBytes sets the chunked-transfer threshold: a message payload
-// strictly larger than n bytes is split into sequenced continuation
-// frames of at most n data bytes each and reassembled at the receive
-// demux (the BigMPI chunking strategy; see chunk.go). Chunking lifts the
-// frame cap off messages — a chunked message may exceed WithMaxFrame —
-// while bounding per-frame buffering, retry and copy costs. Zero or
-// negative keeps the 4 MiB default; the threshold is clamped so one
-// chunk frame always fits the frame cap. Applies to every transport.
-func WithChunkBytes(n int) Option { return func(c *config) { c.eng.chunkBytes = n } }
-
-// WithMaxFrame sets the send-side cap on a single frame's payload.
-// Values above it travel as chunked continuation frames, so the cap
-// bounds frames, not messages. Zero or negative keeps the 256 MiB
-// default, which is also the hard upper bound: the stream parser's
-// corruption guard (ErrFrameTooLarge) stays at the default regardless,
-// so a lowered cap is purely a local buffering bound.
-func WithMaxFrame(n int) Option { return func(c *config) { c.eng.maxFrame = n } }
 
 // NewWorld creates a world of n ranks.
 func NewWorld(n int, opts ...Option) (*World, error) {

@@ -134,13 +134,13 @@ const frameOverhead = frameHeaderSize + 52
 // stream parser enforces: a corrupt or hostile length header can
 // therefore not force an unbounded allocation; readFrame rejects larger
 // claims with ErrFrameTooLarge. The send-side cap defaults to it but can
-// be lowered per world (engineConfig.maxFrame / WithMaxFrame); messages
+// be lowered per world (Engine.MaxFrameBytes); messages
 // larger than a frame allows travel as chunked continuation frames, so
 // the cap bounds frames, not messages.
 const maxFrameSize = 256 << 20
 
 // FrameCap exports the absolute frame payload cap for configuration
-// validation at higher layers (WithMaxFrame values beyond it are
+// validation at higher layers (Engine.MaxFrameBytes values beyond it are
 // meaningless — the parser would reject such frames).
 const FrameCap = maxFrameSize
 
@@ -160,25 +160,55 @@ const tcpDialTimeout = 2 * time.Second
 // progress engine to flush acknowledged-but-unwritten frames (TCP writes
 // and shm ring deposits alike). Healthy writers drain in microseconds;
 // the cap only matters for a writer wedged against a peer that died
-// without closing its socket. WithDrainTimeout overrides it.
+// without closing its socket. Engine.DrainTimeout overrides it.
 const tcpDrainTimeout = 2 * time.Second
 
-// engineConfig tunes the TCP transport's send-side progress engine:
-// per-destination coalescing, vectored writes, connection multiplexing,
-// and same-host shared-memory rings. The zero value selects the
-// defaults.
-type engineConfig struct {
-	coalesceBytes    int
-	coalesceDeadline time.Duration
-	drainTimeout     time.Duration
+// Engine is a world's progress-engine configuration: send batching, the
+// close-time drain bound, and the chunked-transfer plane. The zero value
+// of any field selects its default; normalize is the one place defaults
+// are applied, so every world built from the same Engine — an in-process
+// world, a launcher's, or a spawned worker's — runs the same engine.
+type Engine struct {
+	// CoalesceBytes / CoalesceDeadline tune send batching: sends deposit
+	// frames into a per-connection batch that a writer goroutine drains
+	// in single vectored writes. By default the writer drains eagerly —
+	// batching emerges only while the socket is busy, and a lone frame
+	// pays no added latency. A frame of CoalesceBytes or more, or a batch
+	// reaching it, forces an immediate flush; a positive CoalesceDeadline
+	// instead holds a sub-threshold batch open that long after its first
+	// frame (maximum batching, at a latency cost). Zero or negative bytes
+	// keeps the 16 KiB default; zero deadline is the eager default. The
+	// in-memory transport ignores both.
+	CoalesceBytes    int
+	CoalesceDeadline time.Duration
 
-	// chunkBytes is the chunked-transfer threshold: a message payload
-	// strictly larger travels as sequenced continuation frames of at most
-	// chunkBytes each (plus the chunk sub-header). maxFrame is the
-	// send-side frame cap, defaulting to (and clamped by) the absolute
-	// maxFrameSize parse bound.
-	chunkBytes int
-	maxFrame   int
+	// DrainTimeout bounds how long World.Close waits for the progress
+	// engine to flush acknowledged-but-unwritten frames (the drain
+	// barrier, shared by the TCP and shm paths). Zero or negative keeps
+	// the 2s default.
+	DrainTimeout time.Duration
+
+	// ChunkBytes is the chunked-transfer threshold: a message payload
+	// strictly larger than it is split into sequenced continuation frames
+	// of at most ChunkBytes data bytes each and reassembled at the
+	// receive demux (the BigMPI chunking strategy; see chunk.go). Zero or
+	// negative keeps the 4 MiB default; the threshold is clamped so one
+	// chunk frame always fits the frame cap. Applies to every transport.
+	ChunkBytes int
+
+	// MaxFrameBytes is the send-side cap on a single frame's payload.
+	// Values above it travel as chunked continuation frames, so the cap
+	// bounds frames, not messages. Zero or negative keeps the 256 MiB
+	// default, which is also the hard upper bound: the stream parser's
+	// corruption guard (ErrFrameTooLarge) stays at the default
+	// regardless, so a lowered cap is purely a local buffering bound.
+	MaxFrameBytes int
+}
+
+// engineConfig is a world's Engine plus the shared-memory ring selection,
+// which is a property of how the world is hosted, not a tunable.
+type engineConfig struct {
+	Engine
 
 	// shmAuto: in-process world, create a private segment directory and
 	// run every pair over rings. shmDir: distributed world, select shm
@@ -200,7 +230,7 @@ type engineConfig struct {
 // so an isolated control frame pays no added latency while frames
 // deposited during an in-flight write coalesce into the next syscall:
 // batching emerges exactly when the socket is the bottleneck. A positive
-// deadline (WithCoalesce) instead holds sub-threshold batches open —
+// deadline (Engine.CoalesceDeadline) instead holds sub-threshold batches open —
 // library-level Nagle — trading latency for maximal batching.
 const defaultCoalesceBytes = 16 << 10
 
@@ -214,30 +244,30 @@ const defaultCoalesceBytes = 16 << 10
 const defaultChunkBytes = 4 << 20
 
 func (e *engineConfig) normalize() {
-	if e.coalesceBytes <= 0 {
-		e.coalesceBytes = defaultCoalesceBytes
+	if e.CoalesceBytes <= 0 {
+		e.CoalesceBytes = defaultCoalesceBytes
 	}
-	if e.coalesceDeadline < 0 {
-		e.coalesceDeadline = 0
+	if e.CoalesceDeadline < 0 {
+		e.CoalesceDeadline = 0
 	}
-	if e.drainTimeout <= 0 {
-		e.drainTimeout = tcpDrainTimeout
+	if e.DrainTimeout <= 0 {
+		e.DrainTimeout = tcpDrainTimeout
 	}
 	if e.shmRingBytes <= 0 {
 		e.shmRingBytes = defaultShmRingBytes
 	}
-	if e.maxFrame <= 0 || e.maxFrame > maxFrameSize {
-		e.maxFrame = maxFrameSize
+	if e.MaxFrameBytes <= 0 || e.MaxFrameBytes > maxFrameSize {
+		e.MaxFrameBytes = maxFrameSize
 	}
-	if e.chunkBytes <= 0 {
-		e.chunkBytes = defaultChunkBytes
+	if e.ChunkBytes <= 0 {
+		e.ChunkBytes = defaultChunkBytes
 	}
 	// A chunk frame carries chunkHdrSize bytes of sub-header on top of
 	// its data; the threshold must leave room for it under the frame cap
 	// (config-level validation rejects this loudly — the clamp keeps the
-	// invariant for worlds built from raw options).
-	if e.chunkBytes > e.maxFrame-chunkHdrSize {
-		e.chunkBytes = e.maxFrame - chunkHdrSize
+	// invariant for worlds built from a raw Engine).
+	if e.ChunkBytes > e.MaxFrameBytes-chunkHdrSize {
+		e.ChunkBytes = e.MaxFrameBytes - chunkHdrSize
 	}
 }
 
@@ -248,7 +278,7 @@ func (e *engineConfig) normalize() {
 // frame larger than the bound is still accepted once the batch has
 // drained below it.
 func (e *engineConfig) maxPendingBytes() int {
-	if m := 4 * e.coalesceBytes; m > 1<<20 {
+	if m := 4 * e.CoalesceBytes; m > 1<<20 {
 		return m
 	}
 	return 1 << 20
@@ -703,7 +733,7 @@ func readFrame(r io.Reader) (frame, error) {
 // demultiplexed on the receive side by the (comm, srcRank) header every
 // frame carries.
 func (t *tcpTransport) send(src, dst int, f frame) error {
-	if len(f.data) > t.eng.maxFrame {
+	if len(f.data) > t.eng.MaxFrameBytes {
 		return fmt.Errorf("mpi: %d-byte frame: %w", len(f.data), ErrFrameTooLarge)
 	}
 	if t.link != nil {
@@ -783,13 +813,13 @@ func (t *tcpTransport) send(src, dst int, f frame) error {
 		}
 		tc.mu.Lock()
 	}
-	if tc.batchFrames == 0 && t.eng.coalesceDeadline > 0 {
+	if tc.batchFrames == 0 && t.eng.CoalesceDeadline > 0 {
 		tc.batchStart = time.Now() // eager mode never reads the batch age
 	}
 	tc.batch = appendFrame(tc.batch, f)
 	tc.batchFrames++
 	tc.batchPayload += int64(len(f.data))
-	if len(f.data) >= t.eng.coalesceBytes || len(tc.batch) >= t.eng.coalesceBytes {
+	if len(f.data) >= t.eng.CoalesceBytes || len(tc.batch) >= t.eng.CoalesceBytes {
 		tc.flushNow = true
 	}
 	tc.mu.Unlock()
@@ -835,7 +865,7 @@ func (t *tcpTransport) connWriter(tc *tcpConn) {
 		}
 		trigger := &t.coalesceFlushSize
 		if !tc.flushNow {
-			if d := t.eng.coalesceDeadline; d > 0 {
+			if d := t.eng.CoalesceDeadline; d > 0 {
 				if wait := d - time.Since(tc.batchStart); wait > 0 {
 					tc.mu.Unlock()
 					if timer == nil {
@@ -1130,7 +1160,7 @@ func (t *tcpTransport) close() {
 	// bounded: a writer can be wedged mid-write toward a peer that died
 	// without closing its socket (full TCP window, nobody reading), and
 	// only severing the socket below can unwedge it.
-	deadline := time.Now().Add(t.eng.drainTimeout)
+	deadline := time.Now().Add(t.eng.DrainTimeout)
 	for _, tc := range conns {
 		tc.mu.Lock()
 		if tc.batchFrames > 0 {
