@@ -8,23 +8,7 @@
 //
 //	benchsuite [-exp all|fig1a|fig1b|fig8a|fig8b|fig9|fig10a|fig10b|fig10c|
 //	            wordcount|fig11|fig12|fig13a|fig13b|fig14a|fig14b|ablations]
-//	           [-quick]
-//
-// The regression harness runs the shuffle micro-benchmarks instead of the
-// figure experiments and snapshots ns/op plus the runtime shuffle counters:
-//
-//	benchsuite -regress [-quick] [-bench-out BENCH_shuffle.json]
-//	           [-against BENCH_shuffle.json] [-trace out.json]
-//	           [-prepare-workers N] [-merge-workers N]
-//	           [-shm-off] [-chunk-bytes N]
-//
-// The streaming regression runs the resident-service comparison instead
-// (DataMPI StreamJob vs the internal S4 baseline, same paced windowed
-// aggregation) and snapshots sustained events/sec plus p50/p99/p999
-// latency for each system:
-//
-//	benchsuite -stream-regress [-stream-rate N] [-quick]
-//	           [-bench-out BENCH_stream.json] [-against BENCH_stream.json]
+//	           [-quick] [-o file] [-list] [-pprof addr]
 package main
 
 import (
@@ -36,7 +20,6 @@ import (
 	"strings"
 
 	"datampi/internal/bench"
-	"datampi/internal/trace"
 )
 
 func main() {
@@ -44,23 +27,8 @@ func main() {
 	quick := flag.Bool("quick", false, "use small test-scale inputs")
 	outPath := flag.String("o", "", "also write the output to this file")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	regress := flag.Bool("regress", false, "run the benchmark-regression harness instead of the experiments")
-	benchOut := flag.String("bench-out", "", "write the regression snapshot JSON to this path")
-	against := flag.String("against", "", "compare the regression run against this baseline snapshot (informational)")
-	tracePath := flag.String("trace", "", "with -regress: write a Chrome trace_event JSON of one traced run")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	prepWorkers := flag.Int("prepare-workers", 0, "with -regress: shuffle prepare-pool width (0 = GOMAXPROCS)")
-	mergeWorkers := flag.Int("merge-workers", 0, "with -regress: A-side merge-pool width (0 = GOMAXPROCS)")
-	shmOff := flag.Bool("shm-off", false, "with -regress: disable the shared-memory ring transport (shuffle/shm entries fall back to TCP)")
-	chunkBytes := flag.Int("chunk-bytes", 0, "with -regress: large-value chunk threshold for the shuffle-skew entry (0 = entry default)")
-	streamRegress := flag.Bool("stream-regress", false, "run the streaming-regression harness (DataMPI vs S4 windowed aggregation) instead of the experiments")
-	streamRate := flag.Int("stream-rate", 10000, "with -stream-regress: offered event rate per second (default 10x the paper's Fig. 10(c) 1K events/sec)")
 	flag.Parse()
-
-	if *streamRegress {
-		runStreamRegress(*streamRate, *quick, *benchOut, *against)
-		return
-	}
 
 	if *pprofAddr != "" {
 		go func() {
@@ -74,14 +42,6 @@ func main() {
 	o := bench.Default()
 	if *quick {
 		o = bench.Quick()
-	}
-	if *regress {
-		o.PrepareWorkers = *prepWorkers
-		o.MergeWorkers = *mergeWorkers
-		o.ShmOff = *shmOff
-		o.ChunkBytes = *chunkBytes
-		runRegress(o, *quick, *benchOut, *against, *tracePath)
-		return
 	}
 	cpDir := func() string {
 		d, err := os.MkdirTemp("", "datampi-cp-")
@@ -157,103 +117,5 @@ func main() {
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
-	}
-}
-
-// runRegress drives the regression harness: run, print, optionally snapshot
-// and compare. A baseline mismatch is reported but never fails the run —
-// CI keeps perf deltas non-blocking.
-func runRegress(o bench.Opts, quick bool, benchOut, against, tracePath string) {
-	var tr *trace.Tracer
-	if tracePath != "" {
-		tr = trace.New()
-	}
-	rep, err := bench.Regress(o, quick, tr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	for _, e := range rep.Entries {
-		fmt.Printf("%-16s %10d ns/op  %10d B/op  %8d allocs/op  (%d iterations)\n",
-			e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp, e.Iterations)
-		if e.Counters != nil {
-			fmt.Printf("%-16s shuffle %d records / %d bytes, combine %d->%d\n", "",
-				e.Counters["shuffle.records.sent"], e.Counters["shuffle.bytes.sent"],
-				e.Counters["combine.records.in"], e.Counters["combine.records.out"])
-			if bp, ok := e.Counters["cp.overhead.bp"]; ok {
-				fmt.Printf("%-16s checkpoint overhead %+.2f%% vs checkpoint/off\n", "", float64(bp)/100)
-			}
-			if ns, ok := e.Counters["recovery.ns.per.lost.record"]; ok {
-				fmt.Printf("%-16s recovery: %d records reloaded, %d lost, %d ns per lost record\n", "",
-					e.Counters["recovery.reloaded.records"], e.Counters["recovery.lost.records"], ns)
-			}
-		}
-	}
-	if against != "" {
-		base, err := bench.ReadRegress(against)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchsuite:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nvs baseline %s (%s, quick=%v):\n", against, base.Date, base.Quick)
-		for _, line := range bench.CompareRegress(base, rep) {
-			fmt.Println(" ", line)
-		}
-	}
-	if benchOut != "" {
-		if err := bench.WriteRegress(rep, benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "benchsuite:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchsuite: snapshot written to %s\n", benchOut)
-	}
-	if tr != nil {
-		if err := tr.WriteFile(tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, "benchsuite:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchsuite: trace written to %s\n", tracePath)
-	}
-}
-
-// runStreamRegress drives the streaming harness: both systems run the
-// same paced windowed aggregation, and the snapshot records sustained
-// events/sec plus the latency CDF tail of each. Like runRegress, a
-// baseline mismatch is reported but never fails the run.
-func runStreamRegress(rate int, quick bool, benchOut, against string) {
-	rep, err := bench.StreamRegress(rate, quick)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	for _, e := range rep.Entries {
-		c := e.Counters
-		fmt.Printf("%-16s %8d events/sec sustained  p50 %8.2fms  p99 %8.2fms  p999 %8.2fms\n",
-			e.Name, c["stream.rate.events.per.sec"],
-			float64(c["stream.lat.p50.ns"])/1e6,
-			float64(c["stream.lat.p99.ns"])/1e6,
-			float64(c["stream.lat.p999.ns"])/1e6)
-		if fired, ok := c["stream.windows.fired"]; ok {
-			fmt.Printf("%-16s windows fired %d, events in %d, credits granted %d, credit stalls %d\n", "",
-				fired, c["stream.events.in"], c["stream.credits.granted"], c["stream.credits.stalls"])
-		}
-	}
-	if against != "" {
-		base, err := bench.ReadRegress(against)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchsuite:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nvs baseline %s (%s, quick=%v):\n", against, base.Date, base.Quick)
-		for _, line := range bench.CompareRegress(base, rep) {
-			fmt.Println(" ", line)
-		}
-	}
-	if benchOut != "" {
-		if err := bench.WriteRegress(rep, benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "benchsuite:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchsuite: snapshot written to %s\n", benchOut)
 	}
 }

@@ -21,19 +21,6 @@ type Opts struct {
 	Rounds      int // iteration rounds (paper: 7)
 	Events      int // Top-K events
 	EventRate   int // Top-K events/second
-
-	// PrepareWorkers overrides the shuffle prepare-pool width for the
-	// regression harness (0 = the runtime default, GOMAXPROCS).
-	PrepareWorkers int
-	// MergeWorkers overrides the A-side merge-pool width for the
-	// regression harness (0 = the runtime default, GOMAXPROCS).
-	MergeWorkers int
-	// ShmOff disables the shared-memory ring transport everywhere in the
-	// harness, turning the shuffle/shm entries into TCP baselines.
-	ShmOff bool
-	// ChunkBytes overrides the large-value chunk threshold in the
-	// skew-heavy regression entry (0 = the entry's own default).
-	ChunkBytes int
 }
 
 // Quick returns the small test-suite sizing.

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -182,6 +184,51 @@ func TestSendValueOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestChunkThresholdIdentity reruns the streamed-value job with the chunk
+// threshold halved: every value must still arrive byte-identical and the
+// record counters must not move, while the values travel in more chunks.
+// blob.values.* and shuffle.bytes.* may legitimately shift — a value at
+// the old threshold crosses onto the blob path, and every extra chunk
+// carries its own header.
+func TestChunkThresholdIdentity(t *testing.T) {
+	sizes := blobSizes()
+	transportCases(t, func(t *testing.T, opts ...RunOption) {
+		run := func(chunk int) map[string]int64 {
+			sink := newBlobSink()
+			job := blobJob(sizes, 2, 2, 2, sink)
+			job.Slots = 2 // every task in the first wave: deterministic placement
+			job.Conf.ChunkBytes = chunk
+			res, err := Run(job, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, n := range sizes {
+				if got, want := sink.digests[k], valueDigest(k, n); got != want {
+					t.Errorf("ChunkBytes %d: value %q digest %s, want %s", chunk, k, got, want)
+				}
+			}
+			return res.RuntimeCounters
+		}
+		records := func(rc map[string]int64) map[string]int64 {
+			out := map[string]int64{}
+			for k, v := range rc {
+				if strings.HasPrefix(k, "shuffle.records.") {
+					out[k] = v
+				}
+			}
+			return out
+		}
+		base, half := run(8<<10), run(4<<10)
+		if b, h := records(base), records(half); !reflect.DeepEqual(b, h) {
+			t.Errorf("shuffle.records.* moved with the chunk threshold: %v at 8 KiB, %v at 4 KiB", b, h)
+		}
+		if half["blob.chunks.sent"] <= base["blob.chunks.sent"] {
+			t.Errorf("blob.chunks.sent = %d at 4 KiB, not above %d at 8 KiB",
+				half["blob.chunks.sent"], base["blob.chunks.sent"])
+		}
+	})
 }
 
 // TestSendValueFaultToleranceReplay crashes a streamed-value job

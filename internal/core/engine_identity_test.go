@@ -11,14 +11,16 @@ import (
 	"datampi/internal/kv"
 )
 
-// Counter-identity battery for the transport progress engine: the same
-// seeded workload runs under {engine defaults, aggressively tuned
-// coalescing, shm rings, shm off} and the job-level RuntimeCounters must
-// be byte-identical across all variants — batching, vectored writes and
-// the link under them may only change *wire* behaviour (the mpi.* keys),
-// never what the application sent, combined, or received.
+// Counter-identity battery for the transport progress engine and the
+// pipeline pools: the same seeded workload runs under {engine defaults,
+// aggressively tuned coalescing, shm rings, shm off, a one-worker prepare
+// pool, a one-worker merge pool} and the job-level RuntimeCounters must
+// be byte-identical across all variants — batching, vectored writes, the
+// link under them and the pool widths may only change *wire* behaviour
+// (the mpi.* keys) or timing, never what the application sent, combined,
+// or received.
 
-// engineVariants are the engine configurations proven counter-identical.
+// engineVariants are the configurations proven counter-identical.
 // "tuned" forces tiny size-triggered batches so the coalescing path
 // actually fires even on small workloads.
 var engineVariants = []struct {
@@ -32,6 +34,9 @@ var engineVariants = []struct {
 	// batches changes, the application-visible counters must not.
 	{"shm", func(*Config) {}, true},
 	{"shm-off", func(c *Config) { c.ShmOff = true }, true},
+	// Serial pipeline pools: width may only change timing, never data.
+	{"prepare-1", func(c *Config) { c.PrepareWorkers = 1 }, false},
+	{"merge-1", func(c *Config) { c.MergeWorkers = 1 }, false},
 }
 
 // stripWireCounters drops the mpi.* keys — the only counters an engine

@@ -80,7 +80,8 @@ func TestTracedRunEmitsTaskAndShuffleSpans(t *testing.T) {
 
 // With no tracer attached, the same run must leave Job.Trace methods on the
 // nil path — this is a compile-and-run guard that the disabled path stays
-// panic-free end to end (its cost is covered by the regress harness).
+// panic-free end to end (its cost is measured by the benchmark's
+// trace.overhead_pct).
 func TestUntracedRunIsNilSafe(t *testing.T) {
 	job := &Job{
 		Mode: MapReduce,

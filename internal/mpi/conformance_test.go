@@ -343,6 +343,12 @@ func TestCoalesceDeadlineFlushLatency(t *testing.T) {
 	if d := time.Since(start); d > 100*deadline {
 		t.Fatalf("lone frame took %v to arrive with a %v flush deadline", d, deadline)
 	}
+	// The writer bumps the flush counter only after its write returns, so
+	// the receiver can see the frame first. Close joins the writers, and
+	// Stats stays readable after it.
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if s := w.Stats(); s.CoalesceFlushDeadline == 0 {
 		t.Fatalf("CoalesceFlushDeadline = 0 after a deadline-flushed frame (stats %+v)", s)
 	}
