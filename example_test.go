@@ -201,15 +201,12 @@ func ExampleContext_SendValue() {
 }
 
 // ExampleWithTransport runs a job over TCP loopback sockets. The
-// progress-engine knobs under the transport are job settings, on Config.
+// progress engine under the transport has one job setting, the chunk
+// threshold on Config.
 func ExampleWithTransport() {
 	job := &datampi.Job{
 		Mode: datampi.MapReduce,
-		Conf: datampi.Config{
-			CoalesceBytes:    32 << 10,
-			CoalesceDeadline: 200 * time.Microsecond,
-			ChunkBytes:       1 << 20,
-		},
+		Conf: datampi.Config{ChunkBytes: 1 << 20},
 		NumO: 2,
 		NumA: 1,
 		OTask: func(c *datampi.Context) error {

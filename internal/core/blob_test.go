@@ -80,7 +80,7 @@ func blobJob(sizes map[string]int64, numO, numA, procs int, sink *blobSink) *Job
 	return &Job{
 		Name: "blobcheck",
 		Mode: MapReduce,
-		Conf: Config{ChunkBytes: 8 << 10, MaxFrameBytes: 64 << 10},
+		Conf: Config{ChunkBytes: 8 << 10},
 		NumO: numO, NumA: numA, Procs: procs,
 		OTask: func(ctx *Context) error {
 			for i, k := range keys {
@@ -129,8 +129,7 @@ func blobJob(sizes map[string]int64, numO, numA, procs int, sink *blobSink) *Job
 }
 
 // blobSizes: values below, at, and far above the chunk threshold — the
-// largest well past the 64 KiB MaxFrameBytes cap, so an unchunked frame
-// could not carry it.
+// largest spanning over a hundred chunks.
 func blobSizes() map[string]int64 {
 	return map[string]int64{
 		"tiny":     100,
@@ -396,9 +395,7 @@ func TestConfigChunkValidation(t *testing.T) {
 		field string
 	}{
 		{"negative-chunk", func(c *Config) { c.ChunkBytes = -1 }, "ChunkBytes"},
-		{"negative-maxframe", func(c *Config) { c.MaxFrameBytes = -1 }, "MaxFrameBytes"},
-		{"maxframe-above-cap", func(c *Config) { c.MaxFrameBytes = mpi.FrameCap + 1 }, "MaxFrameBytes"},
-		{"chunk-at-frame-cap", func(c *Config) { c.ChunkBytes = 1 << 20; c.MaxFrameBytes = 1 << 20 }, "ChunkBytes"},
+		{"chunk-at-frame-cap", func(c *Config) { c.ChunkBytes = mpi.FrameCap }, "ChunkBytes"},
 		{"ft-chunk-above-checkpoint-entry", func(c *Config) {
 			c.FaultTolerance = true
 			c.CheckpointDir = t.TempDir()
@@ -421,7 +418,6 @@ func TestConfigChunkValidation(t *testing.T) {
 	// And a valid tuning passes.
 	job := base()
 	job.Conf.ChunkBytes = 1 << 16
-	job.Conf.MaxFrameBytes = 1 << 22
 	if _, err := Run(job); err != nil {
 		t.Fatalf("valid chunk tuning rejected: %v", err)
 	}

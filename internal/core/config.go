@@ -170,35 +170,14 @@ type Config struct {
 	// counters may differ.
 	ShmOff bool
 
-	// DrainTimeout bounds the transport close drain barrier: how long
-	// Close waits for the progress engine to flush acknowledged-but-
-	// unwritten frames (TCP batches and shm ring deposits alike) before
-	// severing connections. Zero keeps the 2s default; slow CI raises it.
-	DrainTimeout time.Duration
-
-	// CoalesceBytes / CoalesceDeadline tune the progress engine: a frame
-	// of CoalesceBytes or more, or a batch reaching CoalesceBytes, forces
-	// an immediate flush; otherwise the writer drains eagerly (batching
-	// emerges while the socket is busy), unless a positive
-	// CoalesceDeadline holds sub-threshold batches open that long. Zero
-	// CoalesceBytes keeps the 16 KiB default; zero deadline = eager drain.
-	CoalesceBytes    int
-	CoalesceDeadline time.Duration
-
 	// ChunkBytes is the large-value chunk threshold, governing both
 	// layers of the BigMPI-style chunked data plane: a transport message
 	// larger than it travels as sequenced continuation frames of at most
 	// ChunkBytes each, and Context.SendValue streams a value larger than
 	// it in ChunkBytes pieces through the blob store instead of
 	// materializing it. Zero keeps the 4 MiB default. It must be
-	// strictly below the frame cap (MaxFrameBytes).
+	// strictly below the transport's 256 MiB frame cap.
 	ChunkBytes int
-
-	// MaxFrameBytes lowers the transport's send-side frame cap from the
-	// absolute 256 MiB parse bound. Messages above the cap still flow —
-	// they are chunked — so the cap bounds frames, not messages. Zero
-	// keeps the absolute bound.
-	MaxFrameBytes int
 
 	// PartialRestart enables per-rank recovery in distributed runs: when a
 	// worker process dies mid-shuffle, the master respawns only that rank,
@@ -307,20 +286,9 @@ func (c *Config) Normalize(mode Mode) error {
 	if c.ChunkBytes < 0 {
 		return &ConfigError{Field: "ChunkBytes", Reason: fmt.Sprintf("%d is negative", c.ChunkBytes)}
 	}
-	if c.MaxFrameBytes < 0 {
-		return &ConfigError{Field: "MaxFrameBytes", Reason: fmt.Sprintf("%d is negative", c.MaxFrameBytes)}
-	}
-	if c.MaxFrameBytes > mpi.FrameCap {
-		return &ConfigError{Field: "MaxFrameBytes",
-			Reason: fmt.Sprintf("%d exceeds the absolute frame parse bound %d", c.MaxFrameBytes, mpi.FrameCap)}
-	}
-	frameCap := c.MaxFrameBytes
-	if frameCap == 0 {
-		frameCap = mpi.FrameCap
-	}
-	if c.ChunkBytes >= frameCap {
+	if c.ChunkBytes >= mpi.FrameCap {
 		return &ConfigError{Field: "ChunkBytes",
-			Reason: fmt.Sprintf("chunk threshold %d must be strictly below the frame cap %d", c.ChunkBytes, frameCap)}
+			Reason: fmt.Sprintf("chunk threshold %d must be strictly below the frame cap %d", c.ChunkBytes, mpi.FrameCap)}
 	}
 	if c.FaultTolerance && c.ChunkBytes > maxChunkPayload-frameHeaderLen-blobHdrLen {
 		return &ConfigError{Field: "ChunkBytes",

@@ -206,12 +206,6 @@ func (rc *runtimeCounters) snapshot(ws mpi.Stats) map[string]int64 {
 	if ws.CoalesceBatches != 0 {
 		out["mpi.coalesce.batches"] = ws.CoalesceBatches
 	}
-	if ws.CoalesceFlushSize != 0 {
-		out["mpi.coalesce.flush.size"] = ws.CoalesceFlushSize
-	}
-	if ws.CoalesceFlushDeadline != 0 {
-		out["mpi.coalesce.flush.deadline"] = ws.CoalesceFlushDeadline
-	}
 	if ws.MuxConns != 0 {
 		out["mpi.mux.conns"] = ws.MuxConns
 	}

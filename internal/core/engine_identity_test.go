@@ -6,30 +6,25 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"datampi/internal/kv"
 )
 
 // Counter-identity battery for the transport progress engine and the
 // pipeline pools: the same seeded workload runs under {engine defaults,
-// aggressively tuned coalescing, shm rings, shm off, a one-worker prepare
-// pool, a one-worker merge pool} and the job-level RuntimeCounters must
-// be byte-identical across all variants — batching, vectored writes, the
-// link under them and the pool widths may only change *wire* behaviour
-// (the mpi.* keys) or timing, never what the application sent, combined,
-// or received.
+// shm rings, shm off, a one-worker prepare pool, a one-worker merge pool}
+// and the job-level RuntimeCounters must be byte-identical across all
+// variants — batching, vectored writes, the link under them and the pool
+// widths may only change *wire* behaviour (the mpi.* keys) or timing,
+// never what the application sent, combined, or received.
 
 // engineVariants are the configurations proven counter-identical.
-// "tuned" forces tiny size-triggered batches so the coalescing path
-// actually fires even on small workloads.
 var engineVariants = []struct {
 	name string
 	tune func(*Config)
 	shm  bool // run over WithShmTransport instead of the case's transport
 }{
 	{"engine-on", func(*Config) {}, false},
-	{"tuned", func(c *Config) { c.CoalesceBytes = 256; c.CoalesceDeadline = time.Millisecond }, false},
 	// Same-host rings and the ShmOff ablation: the transport under the
 	// batches changes, the application-visible counters must not.
 	{"shm", func(*Config) {}, true},

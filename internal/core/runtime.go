@@ -360,19 +360,13 @@ func (rt *Runtime) setup() error {
 	return nil
 }
 
-// Engine maps the Config's progress-engine knobs onto the mpi engine: the
-// one translation from job settings to the transport, used by the
+// Engine maps the Config's progress-engine setting onto the mpi engine:
+// the one translation from job settings to the transport, used by the
 // in-process master and by the proc-mode launcher, which applies it to its
-// own world and ships it to every worker world. Zero fields keep the
-// engine's defaults.
+// own world and ships it to every worker world. A zero field keeps the
+// engine's default.
 func Engine(c *Config) mpi.Engine {
-	return mpi.Engine{
-		CoalesceBytes:    c.CoalesceBytes,
-		CoalesceDeadline: c.CoalesceDeadline,
-		DrainTimeout:     c.DrainTimeout,
-		ChunkBytes:       c.ChunkBytes,
-		MaxFrameBytes:    c.MaxFrameBytes,
-	}
+	return mpi.Engine{ChunkBytes: c.ChunkBytes}
 }
 
 // nameTraceRows labels the Chrome-trace process and thread rows: one

@@ -328,7 +328,6 @@ func TestStreamBackpressureChaos(t *testing.T) {
 					StreamCreditWindow: window,
 					SPLBytes:           64,
 					FaultPlan:          plan,
-					DrainTimeout:       10 * time.Second,
 				},
 				NumO: numO, NumA: numA, Procs: 2, Slots: 2,
 				OTask: func(ctx *Context) error {

@@ -7,22 +7,21 @@ import (
 )
 
 // bigvalueSpec is the shared geometry of the large-value e2e runs: every
-// value (128 KiB) is far above both the chunk threshold (16 KiB) and the
-// frame cap (64 KiB), so an unchunked transport could not carry a single
-// one of them.
+// value (128 KiB) is eight times the chunk threshold (16 KiB), so each
+// one crosses the wire as chunks.
 func bigvalueSpec(base string) JobSpec {
 	return JobSpec{
 		App: "bigvalue", NumO: 4, NumA: 2, Procs: 3,
 		Records: 24, ValueBytes: 128 << 10, Seed: 11,
-		ChunkBytes: 16 << 10, MaxFrameBytes: 64 << 10,
+		ChunkBytes:  16 << 10,
 		OutDir:      filepath.Join(base, "proc"),
 		IOTimeoutMs: 500,
 	}
 }
 
-// TestProcBigValueE2E streams values larger than the frame cap across
-// real worker OS processes and requires the part files byte-identical to
-// the in-process sequential oracle.
+// TestProcBigValueE2E streams values larger than the chunk threshold
+// across real worker OS processes and requires the part files
+// byte-identical to the in-process sequential oracle.
 func TestProcBigValueE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -34,10 +33,19 @@ func TestProcBigValueE2E(t *testing.T) {
 	runOracle(t, ospec)
 
 	out := &syncWriter{}
-	if _, err := Launch(&spec, Options{Output: out}); err != nil {
+	res, err := Launch(&spec, Options{Output: out})
+	if err != nil {
 		t.Fatalf("Launch: %v\nworker output:\n%s", err, out.String())
 	}
 	checkPartsEqual(t, readParts(t, spec.OutDir, spec.NumA), readParts(t, ospec.OutDir, spec.NumA))
+	// Both chunking layers must have fired: the blob store streamed each
+	// value in ChunkBytes pieces, and the transport split and reassembled
+	// the messages above the threshold.
+	for _, k := range []string{"blob.chunks.sent", "blob.chunks.received", "mpi.chunk.msgs.sent", "mpi.chunk.msgs.reassembled"} {
+		if res.RuntimeCounters[k] == 0 {
+			t.Errorf("%s = 0: the workload did not exercise chunking", k)
+		}
+	}
 }
 
 // TestProcBigValueMidChunkKill is the crash-matrix case for the

@@ -60,11 +60,10 @@ type JobSpec struct {
 	// directory and no rank advertises a shm host identity.
 	ShmOff bool `json:"shmOff,omitempty"`
 
-	// ChunkBytes / MaxFrameBytes tune the large-value data plane fleet-wide
-	// (core.Config.ChunkBytes / MaxFrameBytes, shipped to every worker
-	// world through the spawn environment).
-	ChunkBytes    int `json:"chunkBytes,omitempty"`
-	MaxFrameBytes int `json:"maxFrameBytes,omitempty"`
+	// ChunkBytes tunes the large-value data plane fleet-wide
+	// (core.Config.ChunkBytes, shipped to every worker world through the
+	// spawn environment).
+	ChunkBytes int `json:"chunkBytes,omitempty"`
 
 	// PartialRestart recovers a dead worker by respawning just that rank
 	// (core.Config.PartialRestart + core.WithRespawn) instead of
@@ -181,7 +180,6 @@ func (s *JobSpec) BuildJob(workerRank, attempt int, tr *trace.Tracer) *core.Job 
 			PartialRestart:    s.PartialRestart,
 			ShmOff:            s.ShmOff,
 			ChunkBytes:        s.ChunkBytes,
-			MaxFrameBytes:     s.MaxFrameBytes,
 			IOTimeout:         s.IOTimeout(),
 			Extra:             map[string]string{"attempt": strconv.Itoa(attempt)},
 		},

@@ -15,7 +15,7 @@ import "encoding/binary"
 // unchunked frame would have sat. Because chunking happens above the raw
 // transport it behaves identically over TCP, shm rings and the
 // in-memory channels — and it lifts the frame cap off messages: a
-// chunked message may be arbitrarily larger than maxFrame.
+// chunked message may be arbitrarily larger than a frame.
 
 // tagChunk is the reserved system tag of continuation frames. Negative
 // tags never match AnyTag, so chunk frames are invisible to user
@@ -54,15 +54,12 @@ type chunkAsm struct {
 	size  int
 }
 
-// initChunking derives the world's chunk threshold and frame cap from a
-// normalized copy of the engine config, so NewWorld and JoinWorld agree
-// with whatever the transport itself enforces (the TCP transport
-// normalizes its own copy; the in-memory transport has no engine at
-// all).
+// initChunking derives the world's chunk threshold from a normalized
+// copy of the engine config, so NewWorld and JoinWorld split messages
+// identically over every transport.
 func (w *World) initChunking(eng engineConfig) {
 	eng.normalize()
 	w.chunkBytes = eng.ChunkBytes
-	w.maxFrame = eng.MaxFrameBytes
 	w.chunkAsm = make(map[chunkKey]*chunkAsm)
 }
 

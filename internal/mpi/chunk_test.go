@@ -95,36 +95,41 @@ func TestChunkedTransferConformance(t *testing.T) {
 	}
 }
 
-// TestChunkedMessageAboveFrameCap pins the BigMPI claim: a message
-// larger than the transport's single-frame cap still goes through,
-// because the split happens above the frame layer. With a 64 KiB frame
-// cap an unchunked 1 MiB send would be rejected at the wire.
+// TestChunkedMessageAboveFrameCap pins the BigMPI claim: a message far
+// larger than the chunk threshold goes through as exactly the sequenced
+// continuation frames the split promises — 256 frames of 4 KiB for a
+// 1 MiB message — and is reassembled once, byte-identical, because the
+// split happens above the frame layer.
 func TestChunkedMessageAboveFrameCap(t *testing.T) {
 	for _, tc := range chunkedCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			opts := append([]Option{WithEngine(Engine{ChunkBytes: 1 << 12, MaxFrameBytes: 1 << 16})}, tc.opts...)
+			opts := append([]Option{WithEngine(Engine{ChunkBytes: 1 << 12})}, tc.opts...)
 			w, err := NewWorld(2, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			big := bytes.Repeat([]byte{0x5A}, 1<<20)
+			big := make([]byte, 1<<20)
 			for i := range big {
 				big[i] = byte(i * 2654435761)
 			}
-			go func() {
-				if err := w.Comm(0).Send(1, 2, big); err != nil {
-					t.Errorf("send: %v", err)
-				}
-			}()
+			sent := make(chan error, 1)
+			go func() { sent <- w.Comm(0).Send(1, 2, big) }()
 			data, _, err := w.Comm(1).RecvTimeout(0, 2, 30*time.Second)
 			if err != nil {
 				t.Fatalf("recv: %v", err)
 			}
+			if err := <-sent; err != nil {
+				t.Fatalf("send: %v", err)
+			}
 			if !bytes.Equal(data, big) {
-				t.Fatalf("1 MiB message over a 64 KiB frame cap: %d bytes, not byte-identical", len(data))
+				t.Fatalf("1 MiB message at a 4 KiB chunk threshold: %d bytes, not byte-identical", len(data))
+			}
+			if s := w.Stats(); s.ChunkFramesSent != 256 || s.ChunkMsgsReassembled != 1 {
+				t.Fatalf("chunk counters: frames sent=%d reassembled=%d, want 256 and 1",
+					s.ChunkFramesSent, s.ChunkMsgsReassembled)
 			}
 		})
 	}

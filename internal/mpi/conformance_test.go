@@ -15,10 +15,7 @@ import (
 // per-stream FIFO, end-marker-last ordering, small/large interleave
 // order, exactly-once across connection resets, ErrRankDead surfacing —
 // run against every transport configuration the library offers, so each
-// present and future transport is tested against the same spec. The
-// progress-engine entries pin it to the contract: the default eager drain
-// and two tunings that force every batch through a single flush trigger
-// (deadline-only and size-only).
+// present and future transport is tested against the same spec.
 type conformanceCase struct {
 	name string
 	// mk builds the world options (fault injectors carry per-world state,
@@ -37,17 +34,10 @@ func conformanceCases(t *testing.T) []conformanceCase {
 	cases := []conformanceCase{
 		{"mem", plain(), false},
 		{"tcp", plain(WithTCP()), true},
-		// Threshold above every test payload: nothing size-flushes, all
-		// delivery rides the deadline timer.
-		{"tcp/deadline-flush", plain(WithTCP(), WithEngine(Engine{CoalesceBytes: 1 << 20, CoalesceDeadline: 200 * time.Microsecond})), true},
-		// Tiny threshold: batches ship every couple of frames on the size
-		// trigger; the short deadline only covers each tail.
-		{"tcp/size-flush", plain(WithTCP(), WithEngine(Engine{CoalesceBytes: 64, CoalesceDeadline: 20 * time.Millisecond})), true},
 		// Same-host rings instead of sockets: the same batched wire format
 		// deposited into shm SPSC rings. Rings never reset (no resettable
 		// path), so the contract here is FIFO/ordering/interleave.
 		{"shm", plain(WithTCP(), WithShm()), false},
-		{"shm/size-flush", plain(WithTCP(), WithShm(), WithEngine(Engine{CoalesceBytes: 64, CoalesceDeadline: 20 * time.Millisecond})), false},
 	}
 	if !testing.Short() {
 		chaos := func(tcp bool) func() ([]Option, *fault.Injector) {
@@ -258,33 +248,35 @@ func TestTransportConformance(t *testing.T) {
 }
 
 // TestCoalesceMidBatchReset is the deterministic version of the reset
-// contract: frames are parked in a coalescing batch (threshold and
-// deadline too large to flush), the connection is reset under the batch,
-// and a large frame then forces the flush over a fresh dial. Nothing may
-// be dropped or double-delivered, and order must hold.
+// contract: frames are parked in a batch whose writer has not started
+// yet, the connection is reset under the batch, and only then does the
+// writer run. The whole batch must cross the redial in one flush, with
+// nothing dropped or double-delivered and order intact.
 func TestCoalesceMidBatchReset(t *testing.T) {
-	w, err := NewWorld(2, WithTCP(), WithEngine(Engine{CoalesceBytes: 1 << 20, CoalesceDeadline: time.Hour}))
+	w, err := NewWorld(2, WithTCP())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	tr := w.tr.(*tcpTransport)
 
-	// Establish the connection so the reset has a socket to sever: a
-	// large frame trips the size trigger, and the writer goroutine dials
-	// on its flush. Sends are asynchronous now, so wait for the write to
-	// actually land before parking anything behind it.
-	if err := w.Comm(0).Send(1, 1, bytes.Repeat([]byte{1}, 2<<20)); err != nil {
+	// Install rank 1's connection by hand, dialed but writerless, so
+	// sends park in its batch until the test starts the writer.
+	tc := &tcpConn{
+		dst:   1,
+		kick:  make(chan struct{}, 1),
+		space: make(chan struct{}, 1),
+		dead:  make(chan struct{}),
+	}
+	tr.mu.Lock()
+	tr.conns[1] = tc
+	tr.mu.Unlock()
+	tc.mu.Lock()
+	err = tr.ensureConnLocked(tc)
+	tc.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
-	for start := time.Now(); w.Stats().WritevCalls == 0; {
-		if time.Since(start) > 10*time.Second {
-			t.Fatal("first large frame never flushed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Park small frames in the batch; with an hour-long deadline they can
-	// only leave via the next size-triggered flush.
 	const batched = 20
 	for i := 0; i < batched; i++ {
 		if err := w.Comm(0).Send(1, 1, []byte{byte(i)}); err != nil {
@@ -292,65 +284,30 @@ func TestCoalesceMidBatchReset(t *testing.T) {
 		}
 	}
 	tr.resetConn(1) // sever the conn under the pending batch
-	// The flush-forcing large frame must carry the whole batch with it
-	// over the redial.
-	tail := bytes.Repeat([]byte{7}, 2<<20)
-	if err := w.Comm(0).Send(1, 1, tail); err != nil {
-		t.Fatal(err)
-	}
+	tr.wg.Add(1)
+	go tr.connWriter(tc)
 
-	if data, _, err := w.Comm(1).Recv(0, 1); err != nil || len(data) != 2<<20 {
-		t.Fatalf("first large frame: len=%d err=%v", len(data), err)
-	}
 	for i := 0; i < batched; i++ {
 		data, _, err := w.Comm(1).Recv(0, 1)
 		if err != nil {
 			t.Fatalf("batched recv %d: %v", i, err)
 		}
 		if len(data) != 1 || data[0] != byte(i) {
-			t.Fatalf("batched recv %d: got %v (batch tail dropped or duplicated)", i, data)
+			t.Fatalf("batched recv %d: got %v (batch dropped, duplicated or reordered)", i, data)
 		}
 	}
-	if data, _, err := w.Comm(1).Recv(0, 1); err != nil || len(data) != 2<<20 || data[0] != 7 {
-		t.Fatalf("tail large frame: len=%d err=%v", len(data), err)
-	}
-	if s := w.Stats(); s.Dials < 2 {
-		t.Fatalf("dials = %d, want >= 2 (the reset must have forced a redial)", s.Dials)
-	}
-}
-
-// TestCoalesceDeadlineFlushLatency covers the streaming-latency path: a
-// lone small frame whose batch will never reach the size threshold must
-// still arrive promptly via the deadline flush — a stuck batch would
-// hang this receive until the test timeout.
-func TestCoalesceDeadlineFlushLatency(t *testing.T) {
-	const deadline = 5 * time.Millisecond
-	w, err := NewWorld(2, WithTCP(), WithEngine(Engine{CoalesceBytes: 1 << 20, CoalesceDeadline: deadline}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	start := time.Now()
-	if err := w.Comm(0).Send(1, 7, []byte("lone")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := w.Comm(1).RecvTimeout(0, 7, 10*time.Second); err != nil {
-		t.Fatalf("lone coalesced frame never flushed: %v", err)
-	}
-	// The hard contract is the deadline flush fires at all; the latency
-	// bound is deliberately loose against CI scheduling noise while still
-	// catching a batch that waited for more traffic.
-	if d := time.Since(start); d > 100*deadline {
-		t.Fatalf("lone frame took %v to arrive with a %v flush deadline", d, deadline)
-	}
-	// The writer bumps the flush counter only after its write returns, so
-	// the receiver can see the frame first. Close joins the writers, and
+	// The writer counts the batch only after its write returns, so the
+	// receiver can see the frames first. Close joins the writers, and
 	// Stats stays readable after it.
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s := w.Stats(); s.CoalesceFlushDeadline == 0 {
-		t.Fatalf("CoalesceFlushDeadline = 0 after a deadline-flushed frame (stats %+v)", s)
+	s := w.Stats()
+	if s.Dials < 2 {
+		t.Fatalf("dials = %d, want >= 2 (the reset must have forced a redial)", s.Dials)
+	}
+	if s.CoalesceBatches < 1 {
+		t.Fatalf("CoalesceBatches = %d, want >= 1 (the parked frames must ship as one batch)", s.CoalesceBatches)
 	}
 }
 
@@ -389,7 +346,7 @@ func TestMuxConnCount(t *testing.T) {
 
 // TestCoalescedOrderingUnderLinkChaos hammers the coalescing engine with
 // the benign chaos plan plus forced resets: many concurrent streams of
-// small (batched) frames interleaved with large (immediate) ones, every
+// small frames interleaved with large ones, every
 // message still delivered exactly once in per-stream order. Run with
 // -race in CI.
 func TestCoalescedOrderingUnderLinkChaos(t *testing.T) {
@@ -398,7 +355,7 @@ func TestCoalescedOrderingUnderLinkChaos(t *testing.T) {
 		fault.Rule{Kind: fault.Reset, Src: fault.Any, Dst: fault.Any, Prob: 0.1})
 	inj := fault.NewInjector(plan)
 	w, err := NewWorld(4, WithTCP(), WithFaults(inj),
-		WithSendTimeout(10*time.Second), WithEngine(Engine{CoalesceBytes: 512, CoalesceDeadline: time.Millisecond}))
+		WithSendTimeout(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +371,7 @@ func TestCoalescedOrderingUnderLinkChaos(t *testing.T) {
 				payload := []byte{byte(src), byte(i >> 8), byte(i)}
 				if i%17 == 16 {
 					big[1], big[2] = byte(i>>8), byte(i)
-					payload = big // above the 512B threshold: immediate path
+					payload = big
 				}
 				if err := w.Comm(src).Send(3, 6, payload); err != nil {
 					t.Errorf("send src=%d i=%d: %v", src, i, err)

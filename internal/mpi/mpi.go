@@ -84,11 +84,10 @@ type World struct {
 	deadMu sync.Mutex
 	dead   map[int]bool // world ranks marked dead by the fault layer
 
-	// Chunked-transfer state (see chunk.go). chunkBytes/maxFrame come
-	// from the normalized engine config so the split threshold and frame
-	// cap agree with what the transport enforces.
+	// Chunked-transfer state (see chunk.go). chunkBytes comes from the
+	// normalized engine config, so the split threshold always leaves a
+	// chunk frame under the transport's frame cap.
 	chunkBytes int
-	maxFrame   int
 	chunkMsgID atomic.Uint64
 	chunkMu    sync.Mutex
 	chunkAsm   map[chunkKey]*chunkAsm

@@ -66,7 +66,7 @@ const (
 	shmOffSendWait = 140
 
 	// defaultShmRingBytes sizes one ring's data region. It matches the
-	// progress engine's default maxPendingBytes, so a full backpressure
+	// progress engine's maxPendingBytes, so a full backpressure
 	// window fits in the ring; tmpfs allocates pages lazily, so unused
 	// rings cost only their touched header page.
 	defaultShmRingBytes = 1 << 20

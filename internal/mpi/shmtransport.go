@@ -121,7 +121,7 @@ func (t *tcpTransport) setupShmLocal() error {
 	}
 	for r := 0; r < t.n; r++ {
 		p := shmRingPath(dir, 0, r)
-		if err := createShmRing(p, t.eng.shmRingBytes); err != nil {
+		if err := createShmRing(p, defaultShmRingBytes); err != nil {
 			return fail(err)
 		}
 		ring, err := openShmRing(p, &s.c)
@@ -204,12 +204,8 @@ func (t *tcpTransport) shmReadLoop(r int, ring *shmRing) {
 		if err != nil {
 			return // ring stopped (close or rank replacement)
 		}
-		for _, g := range t.orderStream(r, f) {
-			select {
-			case t.inboxes[r] <- g:
-			case <-t.done:
-				return
-			}
+		if !t.deliver(r, f) {
+			return
 		}
 	}
 }
@@ -220,7 +216,7 @@ func (t *tcpTransport) shmReadLoop(r int, ring *shmRing) {
 // shutdown, retirement, and a consumer that stopped draining — and the
 // last one IS the same-host failure detector, turned directly into the
 // sticky dead-rank verdict TCP reaches after exhausting its redials.
-func (t *tcpTransport) flushShm(tc *tcpConn, buf []byte, frames int, payload int64, trigger *atomic.Int64) error {
+func (t *tcpTransport) flushShm(tc *tcpConn, buf []byte, frames int, payload int64) error {
 	cancel := func() error {
 		select {
 		case <-t.done:
@@ -242,9 +238,6 @@ func (t *tcpTransport) flushShm(tc *tcpConn, buf []byte, frames int, payload int
 		t.bytesSent.Add(payload)
 		if frames > 1 {
 			t.coalesceBatches.Add(1)
-		}
-		if trigger != nil {
-			trigger.Add(1)
 		}
 		return nil
 	case err == errShmRetired:

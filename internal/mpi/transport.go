@@ -54,15 +54,8 @@ type Stats struct {
 
 	// CoalesceBatches counts progress-engine flushes that shipped more
 	// than one frame in a single write — real coalescing, not lone-frame
-	// drains. CoalesceFlushSize counts flushes forced by the size
-	// threshold (a batch or frame at/above CoalesceBytes);
-	// CoalesceFlushDeadline counts flushes fired by a configured positive
-	// flush deadline. The default eager drain (deadline zero) charges
-	// neither meter: the writer ships whatever accumulated as soon as it
-	// is free.
-	CoalesceBatches       int64
-	CoalesceFlushSize     int64
-	CoalesceFlushDeadline int64
+	// drains.
+	CoalesceBatches int64
 	// MuxConns is the peak number of simultaneously open outgoing
 	// connections: every communicator and sender rank multiplexes onto one
 	// per destination.
@@ -133,15 +126,14 @@ const frameOverhead = frameHeaderSize + 52
 // maxFrameSize is the absolute cap on one frame's payload, the bound the
 // stream parser enforces: a corrupt or hostile length header can
 // therefore not force an unbounded allocation; readFrame rejects larger
-// claims with ErrFrameTooLarge. The send-side cap defaults to it but can
-// be lowered per world (Engine.MaxFrameBytes); messages
-// larger than a frame allows travel as chunked continuation frames, so
-// the cap bounds frames, not messages.
+// claims with ErrFrameTooLarge. Messages larger than the chunk threshold
+// travel as chunked continuation frames, so the cap bounds frames, not
+// messages.
 const maxFrameSize = 256 << 20
 
 // FrameCap exports the absolute frame payload cap for configuration
-// validation at higher layers (Engine.MaxFrameBytes values beyond it are
-// meaningless — the parser would reject such frames).
+// validation at higher layers (a chunk threshold at or above it could
+// never fit a chunk frame).
 const FrameCap = maxFrameSize
 
 // frameAllocChunk bounds how much readFrame allocates ahead of the bytes
@@ -156,38 +148,19 @@ const tcpSendRetries = 4
 // tcpDialTimeout bounds one dial attempt inside the retry loop.
 const tcpDialTimeout = 2 * time.Second
 
-// tcpDrainTimeout is the default bound on close()'s wait for the
-// progress engine to flush acknowledged-but-unwritten frames (TCP writes
-// and shm ring deposits alike). Healthy writers drain in microseconds;
-// the cap only matters for a writer wedged against a peer that died
-// without closing its socket. Engine.DrainTimeout overrides it.
-const tcpDrainTimeout = 2 * time.Second
+// tcpDrainBound bounds close()'s wait for the progress engine to
+// flush acknowledged-but-unwritten frames (TCP writes and shm ring
+// deposits alike). Healthy writers drain in microseconds; the cap only
+// matters for a writer wedged against a peer that died without closing
+// its socket.
+const tcpDrainBound = 2 * time.Second
 
-// Engine is a world's progress-engine configuration: send batching, the
-// close-time drain bound, and the chunked-transfer plane. The zero value
-// of any field selects its default; normalize is the one place defaults
-// are applied, so every world built from the same Engine — an in-process
-// world, a launcher's, or a spawned worker's — runs the same engine.
+// Engine is a world's progress-engine configuration. Its one setting is
+// the chunked-transfer threshold; the zero value selects the default, and
+// normalize is the one place it is applied, so every world built from the
+// same Engine — an in-process world, a launcher's, or a spawned worker's —
+// runs the same engine.
 type Engine struct {
-	// CoalesceBytes / CoalesceDeadline tune send batching: sends deposit
-	// frames into a per-connection batch that a writer goroutine drains
-	// in single vectored writes. By default the writer drains eagerly —
-	// batching emerges only while the socket is busy, and a lone frame
-	// pays no added latency. A frame of CoalesceBytes or more, or a batch
-	// reaching it, forces an immediate flush; a positive CoalesceDeadline
-	// instead holds a sub-threshold batch open that long after its first
-	// frame (maximum batching, at a latency cost). Zero or negative bytes
-	// keeps the 16 KiB default; zero deadline is the eager default. The
-	// in-memory transport ignores both.
-	CoalesceBytes    int
-	CoalesceDeadline time.Duration
-
-	// DrainTimeout bounds how long World.Close waits for the progress
-	// engine to flush acknowledged-but-unwritten frames (the drain
-	// barrier, shared by the TCP and shm paths). Zero or negative keeps
-	// the 2s default.
-	DrainTimeout time.Duration
-
 	// ChunkBytes is the chunked-transfer threshold: a message payload
 	// strictly larger than it is split into sequenced continuation frames
 	// of at most ChunkBytes data bytes each and reassembled at the
@@ -195,14 +168,6 @@ type Engine struct {
 	// negative keeps the 4 MiB default; the threshold is clamped so one
 	// chunk frame always fits the frame cap. Applies to every transport.
 	ChunkBytes int
-
-	// MaxFrameBytes is the send-side cap on a single frame's payload.
-	// Values above it travel as chunked continuation frames, so the cap
-	// bounds frames, not messages. Zero or negative keeps the 256 MiB
-	// default, which is also the hard upper bound: the stream parser's
-	// corruption guard (ErrFrameTooLarge) stays at the default
-	// regardless, so a lowered cap is purely a local buffering bound.
-	MaxFrameBytes int
 }
 
 // engineConfig is a world's Engine plus the shared-memory ring selection,
@@ -214,25 +179,9 @@ type engineConfig struct {
 	// run every pair over rings. shmDir: distributed world, select shm
 	// per pair by the boot-id/nonce handshake against this
 	// launcher-created directory. Mutually exclusive by construction.
-	shmAuto      bool
-	shmDir       string
-	shmRingBytes int
+	shmAuto bool
+	shmDir  string
 }
-
-// defaultCoalesceBytes is the size-flush threshold: a batch (or a single
-// frame) at or above it is written without waiting on any deadline. The
-// threshold sits deliberately below the runtime's full SPL frames (256
-// KiB by default), so bulk shuffle data is never held back by a
-// configured flush deadline.
-//
-// The default flush deadline is zero — eager drain. The writer goroutine
-// ships whatever the batch holds as soon as the previous write returns,
-// so an isolated control frame pays no added latency while frames
-// deposited during an in-flight write coalesce into the next syscall:
-// batching emerges exactly when the socket is the bottleneck. A positive
-// deadline (Engine.CoalesceDeadline) instead holds sub-threshold batches open —
-// library-level Nagle — trading latency for maximal batching.
-const defaultCoalesceBytes = 16 << 10
 
 // defaultChunkBytes is the default chunked-transfer threshold and chunk
 // payload size (the BigMPI chunking strategy). It sits far above the
@@ -244,21 +193,6 @@ const defaultCoalesceBytes = 16 << 10
 const defaultChunkBytes = 4 << 20
 
 func (e *engineConfig) normalize() {
-	if e.CoalesceBytes <= 0 {
-		e.CoalesceBytes = defaultCoalesceBytes
-	}
-	if e.CoalesceDeadline < 0 {
-		e.CoalesceDeadline = 0
-	}
-	if e.DrainTimeout <= 0 {
-		e.DrainTimeout = tcpDrainTimeout
-	}
-	if e.shmRingBytes <= 0 {
-		e.shmRingBytes = defaultShmRingBytes
-	}
-	if e.MaxFrameBytes <= 0 || e.MaxFrameBytes > maxFrameSize {
-		e.MaxFrameBytes = maxFrameSize
-	}
 	if e.ChunkBytes <= 0 {
 		e.ChunkBytes = defaultChunkBytes
 	}
@@ -266,23 +200,17 @@ func (e *engineConfig) normalize() {
 	// its data; the threshold must leave room for it under the frame cap
 	// (config-level validation rejects this loudly — the clamp keeps the
 	// invariant for worlds built from a raw Engine).
-	if e.ChunkBytes > e.MaxFrameBytes-chunkHdrSize {
-		e.ChunkBytes = e.MaxFrameBytes - chunkHdrSize
+	if e.ChunkBytes > maxFrameSize-chunkHdrSize {
+		e.ChunkBytes = maxFrameSize - chunkHdrSize
 	}
 }
 
 // maxPendingBytes bounds how far a connection's batch may run ahead of
 // its writer before senders block — the TCP analogue of the mem
-// transport's bounded inbox. Several thresholds of slack lets bursts
-// coalesce; a stalled peer cannot absorb unbounded memory. A single
-// frame larger than the bound is still accepted once the batch has
-// drained below it.
-func (e *engineConfig) maxPendingBytes() int {
-	if m := 4 * e.CoalesceBytes; m > 1<<20 {
-		return m
-	}
-	return 1 << 20
-}
+// transport's bounded inbox. The slack lets bursts coalesce; a stalled
+// peer cannot absorb unbounded memory. A single frame larger than the
+// bound is still accepted once the batch has drained below it.
+const maxPendingBytes = 1 << 20
 
 // ---------------------------------------------------------------------------
 // In-memory transport
@@ -379,9 +307,7 @@ func (t *memTransport) close() {
 // fewer wakeups" layer): every frame is serialized into a per-connection
 // batch that a dedicated writer goroutine drains — senders append and
 // return without ever blocking on a syscall, frames deposited while a
-// write is in flight coalesce into the next single write, an optional
-// positive deadline holds sub-threshold batches open for maximal
-// batching (Nagle at the library level), and by default every
+// write is in flight coalesce into the next single write, and every
 // communicator and sender rank multiplexes onto one connection per
 // destination. The receive path is unchanged: a batch is just
 // concatenated frames, demultiplexed by the (comm, srcRank) header every
@@ -402,10 +328,8 @@ type tcpTransport struct {
 	done        chan struct{}
 	shm         *shmState // nil unless same-host rings are in play
 
-	coalesceBatches       atomic.Int64
-	coalesceFlushSize     atomic.Int64
-	coalesceFlushDeadline atomic.Int64
-	writevCalls           atomic.Int64
+	coalesceBatches atomic.Int64
+	writevCalls     atomic.Int64
 
 	mu       sync.Mutex
 	conns    map[int]*tcpConn  // dst -> progress-engine connection state
@@ -417,8 +341,9 @@ type tcpTransport struct {
 	torndown bool // drain finished, sockets severed: no more dialing
 	wg       sync.WaitGroup
 
-	rdMu    sync.Mutex
-	streams map[[3]int]*streamState // [comm,srcRank,dst] -> receive ordering
+	rdMu      sync.Mutex
+	streams   map[[3]int]*streamState // [comm,srcRank,dst] -> receive ordering
+	deliverMu []sync.Mutex            // per receiving rank: serializes reorder + inbox hand-off
 }
 
 // streamState reorders one incoming stream. After a connection reset the
@@ -449,11 +374,9 @@ type tcpConn struct {
 	err          error    // sticky ErrRankDead verdict; lives until rank replacement retires the conn
 	batch        []byte   // serialized frames awaiting the writer's next flush
 	batchFrames  int
-	batchPayload int64     // payload bytes in batch (counters exclude headers)
-	batchStart   time.Time // when the batch went empty -> non-empty (deadline base)
-	flushNow     bool      // batch holds a size-threshold frame: skip any deadline wait
-	stopped      bool      // retired by replaceRank: the writer exits, senders drop
-	src          int       // world rank of the latest sender, for retry-hook attribution
+	batchPayload int64 // payload bytes in batch (counters exclude headers)
+	stopped      bool  // retired by replaceRank: the writer exits, senders drop
+	src          int   // world rank of the latest sender, for retry-hook attribution
 
 	flushing bool // the writer is mid-flush on a swapped-out batch
 
@@ -467,7 +390,6 @@ type tcpConn struct {
 func (tc *tcpConn) closeDead() { tc.once.Do(func() { close(tc.dead) }) }
 
 func newTCPTransport(n int, link *netsim.Link, sendTimeout time.Duration, onRetry func(src, dst, attempt int), eng engineConfig) (*tcpTransport, error) {
-	eng.normalize()
 	t := &tcpTransport{
 		n:           n,
 		self:        -1,
@@ -483,6 +405,7 @@ func newTCPTransport(n int, link *netsim.Link, sendTimeout time.Duration, onRetr
 		sendSeq:     make(map[[3]int]uint64),
 		outbound:    make(map[net.Conn]struct{}),
 		streams:     make(map[[3]int]*streamState),
+		deliverMu:   make([]sync.Mutex, n),
 	}
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -521,7 +444,6 @@ func newTCPTransport(n int, link *netsim.Link, sendTimeout time.Duration, onRetr
 // proc-mode fleet runs O(n) sockets per host-pair instead of one per
 // (comm, rank) triple.
 func newDistTCPTransport(n, self int, ln net.Listener, addrs []string, link *netsim.Link, sendTimeout time.Duration, onRetry func(src, dst, attempt int), eng engineConfig) (*tcpTransport, error) {
-	eng.normalize()
 	// Directory entries are transport descriptors: a dialable TCP address,
 	// optionally tagged with the rank's shm host identity. Dialing always
 	// uses the stripped address; the tags drive per-pair selection below.
@@ -544,6 +466,7 @@ func newDistTCPTransport(n, self int, ln net.Listener, addrs []string, link *net
 		sendSeq:     make(map[[3]int]uint64),
 		outbound:    make(map[net.Conn]struct{}),
 		streams:     make(map[[3]int]*streamState),
+		deliverMu:   make([]sync.Mutex, n),
 	}
 	t.listeners[self] = ln
 	t.addrs[self] = ln.Addr().String()
@@ -559,8 +482,6 @@ func newDistTCPTransport(n, self int, ln net.Listener, addrs []string, link *net
 func (t *tcpTransport) stats() Stats {
 	s := t.transportStats.stats()
 	s.CoalesceBatches = t.coalesceBatches.Load()
-	s.CoalesceFlushSize = t.coalesceFlushSize.Load()
-	s.CoalesceFlushDeadline = t.coalesceFlushDeadline.Load()
 	s.WritevCalls = t.writevCalls.Load()
 	if t.shm != nil {
 		s.ShmConns = t.shm.c.conns.Load()
@@ -610,17 +531,31 @@ func (t *tcpTransport) readLoop(r int, conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	for {
 		f, err := readFrame(br)
-		if err != nil {
+		if err != nil || !t.deliver(r, f) {
 			return
 		}
-		for _, g := range t.orderStream(r, f) {
-			select {
-			case t.inboxes[r] <- g:
-			case <-t.done:
-				return
-			}
+	}
+}
+
+// deliver admits f into its stream's order and hands every frame that
+// became deliverable to rank r's inbox, returning false once the
+// transport is closed. All readers toward r — the old and the new socket
+// after a reset, a shm ring — serialize here, so frames one reader
+// released can never be overtaken in the inbox by later frames another
+// reader released. The lock is held across the inbox send on purpose:
+// only readers of the same inbox wait on it, and they could not hand off
+// past a full inbox anyway; shutdown still wins through t.done.
+func (t *tcpTransport) deliver(r int, f frame) bool {
+	t.deliverMu[r].Lock()
+	defer t.deliverMu[r].Unlock()
+	for _, g := range t.orderStream(r, f) {
+		select {
+		case t.inboxes[r] <- g:
+		case <-t.done:
+			return false
 		}
 	}
+	return true
 }
 
 // orderStream admits a received frame into its stream's sequence order,
@@ -733,7 +668,7 @@ func readFrame(r io.Reader) (frame, error) {
 // demultiplexed on the receive side by the (comm, srcRank) header every
 // frame carries.
 func (t *tcpTransport) send(src, dst int, f frame) error {
-	if len(f.data) > t.eng.MaxFrameBytes {
+	if len(f.data) > maxFrameSize {
 		return fmt.Errorf("mpi: %d-byte frame: %w", len(f.data), ErrFrameTooLarge)
 	}
 	if t.link != nil {
@@ -793,7 +728,7 @@ func (t *tcpTransport) send(src, dst int, f frame) error {
 			tc.mu.Unlock()
 			return nil
 		}
-		if len(tc.batch) < t.eng.maxPendingBytes() {
+		if len(tc.batch) < maxPendingBytes {
 			break
 		}
 		tc.mu.Unlock()
@@ -813,15 +748,9 @@ func (t *tcpTransport) send(src, dst int, f frame) error {
 		}
 		tc.mu.Lock()
 	}
-	if tc.batchFrames == 0 && t.eng.CoalesceDeadline > 0 {
-		tc.batchStart = time.Now() // eager mode never reads the batch age
-	}
 	tc.batch = appendFrame(tc.batch, f)
 	tc.batchFrames++
 	tc.batchPayload += int64(len(f.data))
-	if len(f.data) >= t.eng.CoalesceBytes || len(tc.batch) >= t.eng.CoalesceBytes {
-		tc.flushNow = true
-	}
 	tc.mu.Unlock()
 	select {
 	case tc.kick <- struct{}{}:
@@ -831,23 +760,14 @@ func (t *tcpTransport) send(src, dst int, f frame) error {
 }
 
 // connWriter is tc's progress engine: a per-connection goroutine that
-// owns the socket and drains the batch. With the default zero deadline
-// it drains eagerly — the moment the previous write returns — so
-// coalescing happens exactly when the socket is the bottleneck and an
-// isolated control frame is never delayed. A positive deadline holds a
-// sub-threshold batch open until it expires (or the size threshold
-// fires), maximizing batching at a latency cost. Exits on transport
-// shutdown, on retirement by replaceRank, or after parking a sticky
-// dead-rank verdict (no later send can enqueue anything past it).
+// owns the socket and drains the batch eagerly — the moment the previous
+// write returns — so coalescing happens exactly when the socket is the
+// bottleneck and an isolated control frame is never delayed. Exits on
+// transport shutdown, on retirement by replaceRank, or after parking a
+// sticky dead-rank verdict (no later send can enqueue anything past it).
 func (t *tcpTransport) connWriter(tc *tcpConn) {
 	defer t.wg.Done()
 	var buf []byte // writer-owned flush buffer, swapped with the live batch
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 	for {
 		tc.mu.Lock()
 		for tc.batchFrames == 0 && !tc.stopped {
@@ -863,45 +783,16 @@ func (t *tcpTransport) connWriter(tc *tcpConn) {
 			tc.mu.Unlock()
 			return
 		}
-		trigger := &t.coalesceFlushSize
-		if !tc.flushNow {
-			if d := t.eng.CoalesceDeadline; d > 0 {
-				if wait := d - time.Since(tc.batchStart); wait > 0 {
-					tc.mu.Unlock()
-					if timer == nil {
-						timer = time.NewTimer(wait)
-					} else {
-						timer.Reset(wait)
-					}
-					select {
-					case <-timer.C:
-					case <-tc.kick:
-						if !timer.Stop() {
-							select {
-							case <-timer.C:
-							default:
-							}
-						}
-					case <-t.done:
-						return
-					}
-					continue // re-evaluate: size trigger, retirement, or expiry
-				}
-				trigger = &t.coalesceFlushDeadline
-			} else {
-				trigger = nil // eager drain: no flush meter to charge
-			}
-		}
 		frames, payload, src := tc.batchFrames, tc.batchPayload, tc.src
 		buf, tc.batch = tc.batch, buf[:0]
-		tc.batchFrames, tc.batchPayload, tc.flushNow = 0, 0, false
+		tc.batchFrames, tc.batchPayload = 0, 0
 		tc.flushing = true
 		tc.mu.Unlock()
 		select {
 		case tc.space <- struct{}{}:
 		default:
 		}
-		err := t.flushBuf(tc, buf, frames, payload, src, trigger)
+		err := t.flushBuf(tc, buf, frames, payload, src)
 		tc.mu.Lock()
 		tc.flushing = false
 		tc.mu.Unlock()
@@ -910,7 +801,7 @@ func (t *tcpTransport) connWriter(tc *tcpConn) {
 		}
 		// An oversized one-off (a huge frame) should not pin its buffer
 		// for the connection's lifetime.
-		if cap(buf) > 4*t.eng.maxPendingBytes() {
+		if cap(buf) > 4*maxPendingBytes {
 			buf = nil
 		}
 	}
@@ -920,14 +811,13 @@ func (t *tcpTransport) connWriter(tc *tcpConn) {
 // rewriting the whole batch on failure. Rewrites are safe against
 // duplication: every frame carries its stream sequence number, so a
 // receiver that got (part of) the first attempt discards what it already
-// delivered and the batch tail still arrives exactly once. trigger is
-// the flush-cause meter to charge on success (nil for eager drains); on
-// retry exhaustion the error is parked as tc's sticky verdict.
-func (t *tcpTransport) flushBuf(tc *tcpConn, buf []byte, frames int, payload int64, src int, trigger *atomic.Int64) error {
+// delivered and the batch tail still arrives exactly once. On retry
+// exhaustion the error is parked as tc's sticky verdict.
+func (t *tcpTransport) flushBuf(tc *tcpConn, buf []byte, frames int, payload int64, src int) error {
 	if tc.ring != nil {
 		// Same-host pair: the identical batch bytes go into the shared
 		// ring instead of a socket — zero syscalls on the fast path.
-		return t.flushShm(tc, buf, frames, payload, trigger)
+		return t.flushShm(tc, buf, frames, payload)
 	}
 	var lastErr error
 	for attempt := 0; attempt <= tcpSendRetries; attempt++ {
@@ -968,9 +858,6 @@ func (t *tcpTransport) flushBuf(tc *tcpConn, buf []byte, frames int, payload int
 			t.bytesSent.Add(payload)
 			if frames > 1 {
 				t.coalesceBatches.Add(1)
-			}
-			if trigger != nil {
-				trigger.Add(1)
 			}
 			return nil
 		}
@@ -1152,24 +1039,16 @@ func (t *tcpTransport) close() {
 	t.mu.Unlock()
 	// Drain barrier: a send that returned success promised delivery, but
 	// with the async engine its frame may still sit in a batch or an
-	// in-flight flush. Force pending batches out (a held deadline batch
-	// flushes immediately) and wait until every writer has nothing left —
-	// or has hit a sticky verdict, whose frames are undeliverable anyway.
+	// in-flight flush. Wait until every writer has nothing left — or has
+	// hit a sticky verdict, whose frames are undeliverable anyway.
 	// This preserves the synchronous transport's contract that close()
 	// never abandons acknowledged sends on the healthy path. The wait is
 	// bounded: a writer can be wedged mid-write toward a peer that died
 	// without closing its socket (full TCP window, nobody reading), and
 	// only severing the socket below can unwedge it.
-	deadline := time.Now().Add(t.eng.DrainTimeout)
+	deadline := time.Now().Add(tcpDrainBound)
 	for _, tc := range conns {
 		tc.mu.Lock()
-		if tc.batchFrames > 0 {
-			tc.flushNow = true
-			select {
-			case tc.kick <- struct{}{}:
-			default:
-			}
-		}
 		for (tc.batchFrames > 0 || tc.flushing) && tc.err == nil && !tc.stopped &&
 			time.Now().Before(deadline) {
 			tc.mu.Unlock()
