@@ -30,23 +30,17 @@ func (c *chainIterator) Next() (kv.Record, error) {
 	return kv.Record{}, io.EOF
 }
 
-// closingIterator closes resources once the underlying iterator is
-// exhausted (or errors).
-type closingIterator struct {
-	it      kv.Iterator
-	closers []io.Closer
-	closed  bool
-}
+// spillFiles are the open spill runs a partition's iterator reads. The
+// consumer closes them once done with the iterator, drained or not, or
+// the descriptors (and the disk space of the unlinked runs) outlive the
+// job.
+type spillFiles []io.Closer
 
-func (c *closingIterator) Next() (kv.Record, error) {
-	rec, err := c.it.Next()
-	if err != nil && !c.closed {
-		c.closed = true
-		for _, cl := range c.closers {
-			cl.Close()
-		}
+// Close closes every file.
+func (fs spillFiles) Close() {
+	for _, f := range fs {
+		f.Close()
 	}
-	return rec, err
 }
 
 // iteratorOverRuns builds an iterator over in-memory runs: a k-way merge in
@@ -79,44 +73,25 @@ func (c countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// countingWriter tallies bytes written (spill-compaction accounting).
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// iteratorOverRunsDisk additionally merges spilled disk runs, closing the
-// files when the iterator is drained.
-func (rt *Runtime) iteratorOverRunsDisk(memRuns [][]byte, diskRuns []string, procIdx int) (kv.Iterator, error) {
-	var extra []kv.Iterator
-	var closers []io.Closer
+// iteratorOverRunsDisk additionally merges spilled disk runs, each read
+// back through the same windowed cursor as a memory run, and returns the
+// files the caller must close.
+func (rt *Runtime) iteratorOverRunsDisk(memRuns [][]byte, diskRuns []string, procIdx int) (kv.Iterator, spillFiles, error) {
+	files := make(spillFiles, 0, len(diskRuns))
+	extra := make([]kv.Iterator, 0, len(diskRuns))
 	for _, rel := range diskRuns {
 		f, err := rt.job.SpillDisks[procIdx].Open(rel)
 		if err != nil {
-			for _, c := range closers {
-				c.Close()
-			}
-			return nil, err
+			files.Close()
+			return nil, nil, err
 		}
-		closers = append(closers, f)
-		cr := countingReader{r: f, n: &rt.ctrs.spillReadBytes}
-		extra = append(extra, kv.ReaderIterator{R: kv.NewReader(cr)})
+		files = append(files, f)
+		extra = append(extra, kv.NewFramedRunReader(countingReader{r: f, n: &rt.ctrs.spillReadBytes}))
 	}
 	it, err := rt.iteratorOverRuns(memRuns, extra)
 	if err != nil {
-		for _, c := range closers {
-			c.Close()
-		}
-		return nil, err
+		files.Close()
+		return nil, nil, err
 	}
-	if len(closers) == 0 {
-		return it, nil
-	}
-	return &closingIterator{it: it, closers: closers}, nil
+	return it, files, nil
 }

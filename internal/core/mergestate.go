@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,10 +9,9 @@ import (
 	"datampi/internal/kv"
 )
 
-// spillWriteBuf sizes the bufio layer under spill and compaction writers:
-// without it every record costs one write syscall, and the syscall wall —
-// not the k-way merge — dominates the spill path.
-const spillWriteBuf = 64 << 10
+// spillBlock is the write size of spill and compaction runs: records are
+// framed into a block of this size and each block costs one Write.
+const spillBlock = 256 << 10
 
 // mergeState is one (round, direction)'s Receive Partition List: the sorted
 // runs received for each partition this process owns, in memory up to the
@@ -127,37 +125,11 @@ func (ms *mergeState) detachLargestLocked() (victim int, runs [][]byte, bytes in
 // cannot observe the partition before finalization.
 func (ms *mergeState) writeRun(rel string, runs [][]byte, victim int, bytes int64, tid int) error {
 	start := ms.p.tb.Start()
-	disk := ms.p.rt.job.SpillDisks[ms.p.idx]
-	f, err := disk.Create(rel)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, spillWriteBuf)
-	w := kv.NewWriter(bw)
 	it, err := ms.p.rt.iteratorOverRuns(runs, nil)
 	if err != nil {
-		f.Close()
 		return err
 	}
-	for {
-		rec, err := it.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if err := w.Write(rec); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if _, err := ms.writeMerged(rel, it); err != nil {
 		return err
 	}
 	if tb := ms.p.tb; tb != nil {
@@ -165,6 +137,44 @@ func (ms *mergeState) writeRun(rel string, runs [][]byte, victim int, bytes int6
 			map[string]any{"partition": victim, "bytes": bytes})
 	}
 	return nil
+}
+
+// writeMerged drains it into a new spill file rel, framing the records
+// into spillBlock blocks with one Write each, and returns the bytes
+// written. Spill and compaction both write through it.
+func (ms *mergeState) writeMerged(rel string, it kv.Iterator) (int64, error) {
+	f, err := ms.p.rt.job.SpillDisks[ms.p.idx].Create(rel)
+	if err != nil {
+		return 0, err
+	}
+	var n int64
+	block := make([]byte, 0, spillBlock)
+	flush := func() error {
+		_, err := f.Write(block)
+		n += int64(len(block))
+		block = block[:0]
+		return err
+	}
+	for {
+		rec, err := it.Next()
+		if err == io.EOF {
+			break
+		}
+		if err == nil {
+			if block = kv.AppendRecord(block, rec); len(block) >= spillBlock {
+				err = flush()
+			}
+		}
+		if err != nil {
+			f.Close()
+			return 0, err
+		}
+	}
+	if err := flush(); err != nil {
+		f.Close()
+		return 0, err
+	}
+	return n, f.Close()
 }
 
 // commitSpillLocked attaches a written disk run, releases the spilled
@@ -246,45 +256,20 @@ func (ms *mergeState) compactRuns(partition int, rels []string, out string) {
 // detached runs are exclusively owned by this compaction.
 func (ms *mergeState) writeCompacted(rels []string, out string, partition int) (int64, error) {
 	start := ms.p.tb.Start()
-	disk := ms.p.rt.job.SpillDisks[ms.p.idx]
-	f, err := disk.Create(out)
+	it, files, err := ms.p.rt.iteratorOverRunsDisk(nil, rels, ms.p.idx)
 	if err != nil {
 		return 0, err
 	}
-	it, err := ms.p.rt.iteratorOverRunsDisk(nil, rels, ms.p.idx)
+	defer files.Close()
+	n, err := ms.writeMerged(out, it)
 	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	bw := bufio.NewWriterSize(f, spillWriteBuf)
-	cw := &countingWriter{w: bw}
-	w := kv.NewWriter(cw)
-	for {
-		rec, err := it.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			f.Close()
-			return 0, err
-		}
-		if err := w.Write(rec); err != nil {
-			f.Close()
-			return 0, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
 		return 0, err
 	}
 	if tb := ms.p.tb; tb != nil {
 		tb.Span(tidCompact, "spill.compact", "spill", start,
-			map[string]any{"partition": partition, "runs": len(rels), "bytes": cw.n})
+			map[string]any{"partition": partition, "runs": len(rels), "bytes": n})
 	}
-	return cw.n, nil
+	return n, nil
 }
 
 // addPending takes one pending reference — an in-flight pipeline frame or
@@ -349,10 +334,11 @@ func (ms *mergeState) wake() {
 }
 
 // iterator waits for finalization and returns an iterator over one
-// partition's records (globally sorted in sorted modes).
-func (ms *mergeState) iterator(partition int) (kv.Iterator, error) {
+// partition's records (globally sorted in sorted modes) and the spill
+// files it reads, which the caller closes before release.
+func (ms *mergeState) iterator(partition int) (kv.Iterator, spillFiles, error) {
 	if err := ms.waitFinalized(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ms.mu.Lock()
 	pr := ms.parts[partition]
@@ -410,7 +396,7 @@ func (ms *mergeState) serializeRuns(partition int) ([]byte, error) {
 
 // release frees a consumed partition's memory and spill files. Safe
 // against in-flight compactions: release happens only after the consumer
-// drained an iterator, which requires finalization, which requires the
+// closed an iterator, which requires finalization, which requires the
 // pending count (and with it every compaction) to have drained.
 func (ms *mergeState) release(partition int) {
 	ms.mu.Lock()

@@ -128,17 +128,18 @@ func (rt *Runtime) runOTask(p *process, cmd ctrlMsg) {
 	ctx.it, ctx.grouper, ctx.streamCh = nil, nil, nil
 	// In Iteration mode the O task first consumes the feedback the A side
 	// sent last round (bi-directional communication, §IV-A).
+	var files spillFiles
 	if rt.job.Mode == Iteration {
 		if cmd.Round == 0 {
 			ctx.it = emptyIterator{}
 		} else {
 			ms := p.merge(mergeKey{round: cmd.Round - 1, reverse: true})
-			it, err := ms.iterator(cmd.Task)
+			it, fs, err := ms.iterator(cmd.Task)
 			if err != nil {
 				rt.taskFailed(p, err)
 				return
 			}
-			ctx.it = it
+			ctx.it, files = it, fs
 		}
 	}
 	err := rt.runUser(rt.job.OTask, ctx)
@@ -157,6 +158,7 @@ func (rt *Runtime) runOTask(p *process, cmd ctrlMsg) {
 		}
 	}
 	if rt.job.Mode == Iteration && cmd.Round > 0 {
+		files.Close()
 		p.dropMerge(mergeKey{round: cmd.Round - 1, reverse: true}, cmd.Task)
 	}
 	if err != nil {
@@ -180,13 +182,14 @@ func (rt *Runtime) runATask(p *process, cmd ctrlMsg) {
 	ctx.round = cmd.Round
 	ctx.it, ctx.grouper, ctx.streamCh = nil, nil, nil
 	fwd := mergeKey{round: cmd.Round, reverse: false}
+	var files spillFiles
 	if rt.job.Mode == Streaming {
 		ctx.streamCh = p.streamChan(cmd.Task)
 		ctx.streamPart = cmd.Task
 	} else if owner := rt.ownerProc(cmd.Task); owner == p.idx {
 		// Data-centric scheduling put us on the process that already holds
 		// the partition: a purely local read.
-		it, err := p.merge(fwd).iterator(cmd.Task)
+		it, fs, err := p.merge(fwd).iterator(cmd.Task)
 		if err != nil {
 			rt.taskFailed(p, err)
 			return
@@ -195,7 +198,7 @@ func (rt *Runtime) runATask(p *process, cmd ctrlMsg) {
 			p.tb.Instant(taskTID(cmd.Task, false), "rpl.merge", "merge",
 				map[string]any{"partition": cmd.Task, "round": cmd.Round})
 		}
-		ctx.it = it
+		ctx.it, files = it, fs
 	} else {
 		// Ablation path: the partition lives elsewhere; pull it over the
 		// network as Hadoop's reducers do.
@@ -211,6 +214,7 @@ func (rt *Runtime) runATask(p *process, cmd ctrlMsg) {
 		err = ctx.flushSends()
 	}
 	if rt.job.Mode != Streaming && rt.ownerProc(cmd.Task) == p.idx {
+		files.Close()
 		p.dropMerge(fwd, cmd.Task)
 	}
 	if err != nil {

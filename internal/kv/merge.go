@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 )
@@ -38,27 +39,87 @@ type ReaderIterator struct{ R *Reader }
 // Next implements Iterator.
 func (r ReaderIterator) Next() (Record, error) { return r.R.Read() }
 
-// FramedRun iterates one framed run buffer (AppendRecord's framing),
-// decoding lazily: a consumer holds one cursor per run instead of a
-// materialized []Record, and the records alias the buffer.
+// framedWindow is the read size of a reader-backed FramedRun: the SPL
+// default, so a spilled run comes back in reads as large as the frames
+// it was received in.
+const framedWindow = 256 << 10
+
+// FramedRun iterates one framed run (AppendRecord's framing), decoding
+// lazily: a consumer holds one cursor per run instead of a materialized
+// []Record, and the records alias the run's bytes.
+//
+// Over a buffer (NewFramedRun) the records alias that buffer. Over a
+// reader (NewFramedRunReader) they alias windows of framedWindow bytes
+// read from it. A refill copies the unread tail into a fresh window and
+// never reuses an old one, so a returned record stays valid for as long
+// as the caller holds it, as over a buffer. A record longer than the
+// window grows it one framedWindow at a time, so a window never exceeds
+// the bytes read plus framedWindow and a corrupt length prefix cannot
+// allocate memory the source never backs. A source that ends inside a
+// record is an error, never a clean EOF.
 type FramedRun struct {
 	rest []byte
+	src  io.Reader // nil: rest is the whole run
+	err  error     // the source's end (io.EOF) or failure, once seen
 }
 
 // NewFramedRun returns a cursor over the framed records in b.
 func NewFramedRun(b []byte) *FramedRun { return &FramedRun{rest: b} }
 
+// NewFramedRunReader returns a cursor over the framed records read from
+// r in windows of framedWindow bytes.
+func NewFramedRunReader(r io.Reader) *FramedRun { return &FramedRun{src: r} }
+
 // Next implements Iterator.
 func (r *FramedRun) Next() (Record, error) {
-	if len(r.rest) == 0 {
-		return Record{}, io.EOF
+	if r.src == nil {
+		if len(r.rest) == 0 {
+			return Record{}, io.EOF
+		}
+		rec, n, err := ReadRecord(r.rest)
+		if err != nil {
+			return Record{}, err
+		}
+		r.rest = r.rest[n:]
+		return rec, nil
 	}
-	rec, n, err := ReadRecord(r.rest)
-	if err != nil {
-		return Record{}, err
+	for {
+		rec, n, err := parseRecord(r.rest)
+		switch {
+		case n > 0:
+			r.rest = r.rest[n:]
+			return rec, nil
+		case err != nil:
+			return Record{}, err
+		case r.err == nil:
+			r.fill(-n)
+		case r.err != io.EOF:
+			return Record{}, r.err
+		case len(r.rest) == 0:
+			return Record{}, io.EOF
+		default:
+			return Record{}, fmt.Errorf("kv: truncated record: have %d bytes: %w", len(r.rest), io.ErrUnexpectedEOF)
+		}
 	}
-	r.rest = r.rest[n:]
-	return rec, nil
+}
+
+// fill moves the unread tail into a fresh window and reads the source
+// until the window is full or the source ends. need is a lower bound on
+// the bytes the head record spans. A window grows past framedWindow only
+// by one framedWindow beyond the tail it carries, which the source has
+// already delivered.
+func (r *FramedRun) fill(need int) {
+	size := framedWindow
+	if need > framedWindow {
+		size = min(need, len(r.rest)+framedWindow)
+	}
+	win := make([]byte, size)
+	n := copy(win, r.rest)
+	m, err := io.ReadFull(r.src, win[n:])
+	if err == io.ErrUnexpectedEOF {
+		err = io.EOF
+	}
+	r.rest, r.err = win[:n+m], err
 }
 
 // Merger performs a streaming k-way merge over sorted runs, as done by both

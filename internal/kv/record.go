@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -71,6 +72,49 @@ func ReadRecord(b []byte) (Record, int, error) {
 	val := b[off : off+int(vlen)]
 	off += int(vlen)
 	return Record{Key: key, Value: val}, off, nil
+}
+
+// errBadLength is a length varint that overflows 64 bits.
+var errBadLength = errors.New("kv: bad length varint")
+
+// parseRecord is ReadRecord for a window that may end inside a record.
+// n > 0 means b holds the whole record. n < 0 with a nil error means it
+// holds only a prefix of it, and -n (> len(b)) is a lower bound on the
+// bytes the record spans, capped at math.MaxInt.
+func parseRecord(b []byte) (rec Record, n int, err error) {
+	klen, kn := binary.Uvarint(b)
+	if kn < 0 {
+		return Record{}, 0, errBadLength
+	}
+	if kn == 0 {
+		return Record{}, -(len(b) + 1), nil
+	}
+	if uint64(len(b)-kn) <= klen {
+		// The key, or the value varint after it, is not all here.
+		return Record{}, -needBytes(kn+1, klen), nil
+	}
+	off := kn + int(klen)
+	vlen, vn := binary.Uvarint(b[off:])
+	if vn < 0 {
+		return Record{}, 0, errBadLength
+	}
+	if vn == 0 {
+		return Record{}, -(len(b) + 1), nil
+	}
+	if uint64(len(b)-off-vn) < vlen {
+		return Record{}, -needBytes(off+vn, vlen), nil
+	}
+	end := off + vn + int(vlen)
+	return Record{Key: b[kn:off], Value: b[off+vn : end]}, end, nil
+}
+
+// needBytes is have + more, capped at math.MaxInt so that a corrupt length
+// cannot wrap into a small bound.
+func needBytes(have int, more uint64) int {
+	if more > uint64(math.MaxInt-have) {
+		return math.MaxInt
+	}
+	return have + int(more)
 }
 
 // Writer streams framed records to an io.Writer (spill files, checkpoints,
