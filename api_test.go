@@ -3,6 +3,7 @@ package datampi_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/printer"
@@ -41,20 +42,15 @@ func TestAPISurface(t *testing.T) {
 }
 
 // renderAPISurface parses the package in this directory and renders every
-// exported declaration, sorted, one blank-line-separated block each.
+// exported declaration, sorted, one blank-line-separated block each. An
+// alias of an internal/core struct type also renders the struct's
+// exported fields, so a field added to or removed from Config or Job
+// shows in the golden diff.
 func renderAPISurface(t *testing.T) string {
 	t.Helper()
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg := pkgs["datampi"]
-	if pkg == nil {
-		t.Fatal("package datampi not found in .")
-	}
+	pkg := parsePackage(t, fset, ".", "datampi")
+	structs := coreStructs(parsePackage(t, fset, "internal/core", "core"))
 	var decls []string
 	for _, file := range pkg.Files {
 		for _, d := range file.Decls {
@@ -72,6 +68,11 @@ func renderAPISurface(t *testing.T) string {
 					case *ast.TypeSpec:
 						if s.Name.IsExported() {
 							specs = append(specs, s)
+							if st := aliasedStruct(s, structs); st != nil {
+								if f := renderFields(t, fset, s.Name.Name, st); f != "" {
+									decls = append(decls, f)
+								}
+							}
 						}
 					case *ast.ValueSpec:
 						for _, n := range s.Names {
@@ -92,6 +93,73 @@ func renderAPISurface(t *testing.T) string {
 	}
 	sort.Strings(decls)
 	return strings.Join(decls, "\n\n") + "\n"
+}
+
+// parsePackage parses the non-test files of the named package in dir.
+func parsePackage(t *testing.T, fset *token.FileSet, dir, name string) *ast.Package {
+	t.Helper()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := pkgs[name]
+	if pkg == nil {
+		t.Fatalf("package %s not found in %s", name, dir)
+	}
+	return pkg
+}
+
+// coreStructs maps every struct type declared in package core by name.
+func coreStructs(pkg *ast.Package) map[string]*ast.StructType {
+	structs := map[string]*ast.StructType{}
+	for _, file := range pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					structs[ts.Name.Name] = st
+				}
+			}
+			return true
+		})
+	}
+	return structs
+}
+
+// aliasedStruct returns the core struct an alias `T = core.U` names, or
+// nil.
+func aliasedStruct(s *ast.TypeSpec, structs map[string]*ast.StructType) *ast.StructType {
+	sel, ok := s.Type.(*ast.SelectorExpr)
+	if !s.Assign.IsValid() || !ok {
+		return nil
+	}
+	if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "core" {
+		return nil
+	}
+	return structs[sel.Sel.Name]
+}
+
+// renderFields renders the exported fields of an aliased struct, one a
+// line, without their comments; "" when it has none.
+func renderFields(t *testing.T, fset *token.FileSet, alias string, st *ast.StructType) string {
+	t.Helper()
+	var lines []string
+	for _, f := range st.Fields.List {
+		var names []string
+		for _, n := range f.Names {
+			if n.IsExported() {
+				names = append(names, n.Name)
+			}
+		}
+		if len(names) > 0 {
+			lines = append(lines, fmt.Sprintf("\t%s %s\n", strings.Join(names, ", "), printNode(t, fset, f.Type)))
+		}
+	}
+	if len(lines) == 0 {
+		return ""
+	}
+	return alias + " fields {\n" + strings.Join(lines, "") + "}"
 }
 
 func printNode(t *testing.T, fset *token.FileSet, node any) string {

@@ -241,9 +241,8 @@ func WithTransport(tc TransportConfig) RunOption {
 //
 // Config.IOTimeout defaults to 10s under process launch so that a worker
 // process dying is detected rather than hung on; the failure then
-// reaches the caller as ErrRankDead. Fault injection (Config.FaultPlan /
-// FaultInjector) is in-process only and is rejected — kill the worker
-// processes instead. WithProcessLaunch overrides WithTransport.
+// reaches the caller as ErrRankDead. To exercise that path, kill a
+// worker process. WithProcessLaunch overrides WithTransport.
 func WithProcessLaunch(w io.Writer) RunOption {
 	return func(c *runConfig) {
 		c.proc = true
@@ -356,7 +355,7 @@ func RunWorkerIfSpawned(makeJob func() *Job) (bool, error) {
 		// the final handshake and merges into its WithTrace output.
 		job.Trace = trace.New()
 	}
-	return true, core.RunWorker(job, w.World, w.Rank)
+	return true, core.RunWorker(job, w.World, w.Rank, w.Attempt)
 }
 
 // RunStream starts a StreamJob as a resident in-process service and

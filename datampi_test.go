@@ -198,15 +198,14 @@ func TestRunErrorTyping(t *testing.T) {
 	}
 }
 
-// TestRunOptionsObservability drives WithCounters, WithTrace and the
-// pipeline-width options through the facade: counters are withheld by
-// default, reported on request, and WithTrace emits a valid Chrome
-// trace_event document.
+// TestRunOptionsObservability drives WithCounters and WithTrace through
+// the facade: counters are withheld by default, reported on request, and
+// WithTrace emits a valid Chrome trace_event document.
 func TestRunOptionsObservability(t *testing.T) {
 	mkJob := func() *datampi.Job {
 		return &datampi.Job{
 			Mode: datampi.MapReduce,
-			Conf: datampi.Config{ValueCodec: datampi.Int64Codec, PrepareWorkers: 2, MergeWorkers: 2},
+			Conf: datampi.Config{ValueCodec: datampi.Int64Codec},
 			NumO: 2, NumA: 2, Procs: 2,
 			OTask: func(c *datampi.Context) error {
 				for i := 0; i < 100; i++ {

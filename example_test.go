@@ -110,12 +110,11 @@ func ExampleRunContext() {
 }
 
 // ExampleWithCounters opts in to the built-in runtime counters — shuffle
-// volume, combine and spill traffic — and sizes the shuffle pipelines
-// explicitly on Config.
+// volume, combine and spill traffic.
 func ExampleWithCounters() {
 	job := &datampi.Job{
 		Mode: datampi.MapReduce,
-		Conf: datampi.Config{ValueCodec: datampi.Int64Codec, PrepareWorkers: 2, MergeWorkers: 2},
+		Conf: datampi.Config{ValueCodec: datampi.Int64Codec},
 		NumO: 2,
 		NumA: 1,
 		OTask: func(c *datampi.Context) error {

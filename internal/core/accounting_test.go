@@ -37,7 +37,7 @@ func TestInjectFailAfterRecordsCountsGlobally(t *testing.T) {
 				fail  bool
 			}{{2500, true}, {numO*perTask - 1, true}, {numO * perTask, false}} {
 				job := countJob(numO, perTask)
-				job.Conf.InjectFailAfterRecords = c.after
+				job.hooks.InjectFailAfterRecords = c.after
 				res, err := Run(job, tr.opts...)
 				if got := errors.Is(err, ErrInjectedFailure); got != c.fail {
 					t.Fatalf("InjectFailAfterRecords=%d: err = %v, want injected failure %v", c.after, err, c.fail)

@@ -292,7 +292,7 @@ func TestSendValueRankDeathRecovery(t *testing.T) {
 	sink1 := newBlobSink()
 	job1 := blobJob(sizes, 2, 2, 2, sink1)
 	ft(job1)
-	job1.Conf.FaultPlan = fault.KillRank(1, 1, 25)
+	job1.hooks.FaultPlan = fault.KillRank(1, 1, 25)
 	if _, err := runWithDeadline(t, job1); !errors.Is(err, ErrRankDead) {
 		t.Fatalf("attempt 1: want ErrRankDead, got %v", err)
 	}

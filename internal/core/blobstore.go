@@ -110,7 +110,7 @@ func (s *blobStore) ingest(round int, payload []byte) error {
 	b := s.blobs[k]
 	if b == nil {
 		if s.dir == "" {
-			dir, err := os.MkdirTemp("", "dmpi-blob-")
+			dir, err := os.MkdirTemp("", fmt.Sprintf("dmpi-blob-%d-", os.Getpid()))
 			if err != nil {
 				return err
 			}
@@ -168,6 +168,11 @@ func (s *blobStore) open(round int, v []byte) (io.Reader, bool, error) {
 func (s *blobStore) resolver(round int) kv.ValueResolver {
 	return func(v []byte) (io.Reader, bool, error) { return s.open(round, v) }
 }
+
+// BlobDirs is the glob, relative to os.TempDir, matching every blob
+// directory the OS process pid made. A launcher removes a dead worker's
+// with it: a worker that is killed cannot remove its own.
+func BlobDirs(pid int) string { return fmt.Sprintf("dmpi-blob-%d-*", pid) }
 
 // close releases every blob file and the backing directory (end of run).
 func (s *blobStore) close() {

@@ -60,7 +60,7 @@ func TestRankDeathMidShuffleRecovery(t *testing.T) {
 			job1.Conf.CheckpointDir = dir
 			job1.Conf.SPLBytes = 256
 			job1.Conf.CheckpointRecords = 50
-			job1.Conf.FaultPlan = fault.KillRank(1, 1, 25)
+			job1.hooks.FaultPlan = fault.KillRank(1, 1, 25)
 			_, err := runWithDeadline(t, job1, opts...)
 			if !errors.Is(err, ErrRankDead) {
 				t.Fatalf("job with killed worker: got %v, want ErrRankDead", err)
@@ -99,7 +99,7 @@ func TestWorkerDeathFailsFastWithoutFT(t *testing.T) {
 	var out collector
 	job := wordCountJob(ftDocs(), 2, 2, &out)
 	job.Conf.SPLBytes = 256
-	job.Conf.FaultPlan = fault.KillRank(7, 0, 25)
+	job.hooks.FaultPlan = fault.KillRank(7, 0, 25)
 	start := time.Now()
 	_, err := runWithDeadline(t, job)
 	if !errors.Is(err, ErrRankDead) {
@@ -128,7 +128,7 @@ func TestJobSurvivesLinkChaos(t *testing.T) {
 			}
 			var out collector
 			job := wordCountJob(docs, 3, 2, &out)
-			job.Conf.FaultPlan = plan
+			job.hooks.FaultPlan = plan
 			if _, err := runWithDeadline(t, job, opts...); err != nil {
 				t.Fatalf("job under link chaos: %v", err)
 			}
@@ -147,7 +147,7 @@ func TestMasterSweepDetectsSilentWorkerDeath(t *testing.T) {
 	var once sync.Once
 	var out collector
 	job := wordCountJob(ftDocs(), 2, 2, &out)
-	job.Conf.FaultInjector = inj
+	job.hooks.FaultInjector = inj
 	job.Conf.IOTimeout = 200 * time.Millisecond
 	orig := job.OTask
 	job.OTask = func(ctx *Context) error {
@@ -177,19 +177,21 @@ func TestMasterSweepDetectsSilentWorkerDeath(t *testing.T) {
 // TestFaultPlanDefaultsIOTimeout: configuring a fault plan switches on the
 // IOTimeout default so detection works without explicit tuning.
 func TestFaultPlanDefaultsIOTimeout(t *testing.T) {
-	c := Config{FaultPlan: &fault.Plan{Seed: 1}}
-	if err := c.Normalize(MapReduce); err != nil {
+	task := func(*Context) error { return nil }
+	j := &Job{NumO: 1, NumA: 1, OTask: task, ATask: task}
+	j.hooks.FaultPlan = &fault.Plan{Seed: 1}
+	if err := j.validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.IOTimeout <= 0 {
+	if j.Conf.IOTimeout <= 0 {
 		t.Fatal("fault injection without an IOTimeout default")
 	}
-	c2 := Config{}
-	if err := c2.Normalize(MapReduce); err != nil {
+	j2 := &Job{NumO: 1, NumA: 1, OTask: task, ATask: task}
+	if err := j2.validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c2.IOTimeout != 0 {
-		t.Fatalf("IOTimeout defaulted to %v without fault injection", c2.IOTimeout)
+	if j2.Conf.IOTimeout != 0 {
+		t.Fatalf("IOTimeout defaulted to %v without fault injection", j2.Conf.IOTimeout)
 	}
 }
 

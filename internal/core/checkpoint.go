@@ -376,7 +376,7 @@ func (c *cpCommitter) run() {
 		if w == nil {
 			w = newCPWriter(cfg.CheckpointDir, b.task)
 			w.seq = rt.cpStartSeq(b.task)
-			w.commitHook = cfg.CheckpointCommitHook
+			w.commitHook = rt.job.hooks.CheckpointCommitHook
 			writers[b.task] = w
 		}
 		start := p.tb.Start()

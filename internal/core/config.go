@@ -11,10 +11,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
-	"datampi/internal/fault"
 	"datampi/internal/kv"
 	"datampi/internal/mpi"
 )
@@ -98,16 +96,6 @@ type Config struct {
 	// partition buffers are flushed at least this often. Default 5 ms.
 	FlushInterval time.Duration
 
-	// StreamCreditWindow bounds in-flight streaming records per directed
-	// (sender process, receiver process) pair: credit-based flow control on
-	// the O→A intercommunicator. Receivers grant credits back as consumers
-	// drain their stream channels; a sender that is out of credits blocks
-	// before the transport send, so end-to-end queue depth is bounded by
-	// the window regardless of how slow the A side is. Only Streaming mode
-	// uses it. 0 selects the 4096-record default; -1 disables flow control
-	// (ablation — queues grow unboundedly under a stalled consumer).
-	StreamCreditWindow int
-
 	// FaultTolerance enables the key-value library-level checkpoint
 	// (§IV-E). CheckpointDir must be set (stable across restarts).
 	FaultTolerance bool
@@ -124,37 +112,10 @@ type Config struct {
 	// data remotely.
 	DataCentricOff bool
 
-	// PrepareWorkers sizes the prepare pool of the O-side pipeline: how
-	// many communication-thread workers sort/combine/re-encode sealed
-	// buffers concurrently (§IV-C). <= 0 selects GOMAXPROCS. 1 keeps a
-	// single (still asynchronous) prepare worker; OSidePipelineOff bypasses
-	// the pipeline entirely.
-	PrepareWorkers int
-
 	// OSidePipelineOff disables the O-side shuffle pipeline ablation
 	// (§IV-C): sealed buffers are sent synchronously by the task instead
 	// of overlapping with computation via the communication thread.
 	OSidePipelineOff bool
-
-	// MergeWorkers sizes the merge pool of the A-side pipeline: how many
-	// merge-thread workers decode, count and merge received runs into the
-	// Receive Partition List concurrently (§IV-C's merge thread kind).
-	// <= 0 selects GOMAXPROCS. 1 keeps a single (still asynchronous)
-	// merge worker.
-	MergeWorkers int
-
-	// SpillCompactFanIn is how many on-disk spill runs a partition may
-	// accumulate before a background compaction k-way merges them into a
-	// single sorted run, bounding the fan-in (and open file handles) of
-	// the final NextGroup merge. 0 selects 8; 1 disables compaction.
-	SpillCompactFanIn int
-
-	// InjectFailAfterRecords, when > 0, aborts the whole job with
-	// ErrInjectedFailure once that many records have been sent in total —
-	// the paper's "kill the job intentionally" fault-tolerance experiment.
-	// How much of that data was already durably checkpointed at the crash
-	// is timing-dependent, as with a real kill.
-	InjectFailAfterRecords int64
 
 	// InjectFailAfterCPRecords, when > 0, aborts the job once that many
 	// records have been durably checkpointed — the controlled variant used
@@ -190,32 +151,11 @@ type Config struct {
 	// fatal, and the launcher's whole-attempt retry recovers the job.
 	PartialRestart bool
 
-	// CheckpointCommitHook, when non-nil, runs inside every chunk commit
-	// between the tmp file's final write and the atomic rename — the
-	// torn-commit window. Returning an error aborts the commit, leaving
-	// the .tmp file on disk exactly as a crash at that instant would
-	// (test instrumentation for torn-commit recovery).
-	CheckpointCommitHook func(task, seq int) error
-
-	// FaultPlan, when non-nil, runs the job's entire MPI traffic (data
-	// plane and mpidrun control plane) under the deterministic
-	// fault-injection transport: message drops, delays, duplication,
-	// reordering, connection resets, and rank deaths are injected exactly
-	// as the plan's seed and rules dictate (see internal/fault). Rank
-	// death surfaces as ErrRankDead and aborts the job cleanly, so a
-	// FaultTolerance-enabled rerun can recover from the checkpoints.
-	FaultPlan *fault.Plan
-
-	// FaultInjector, when non-nil, overrides FaultPlan with a
-	// caller-managed injector, letting tests kill ranks cooperatively at
-	// chosen points mid-run.
-	FaultInjector *fault.Injector
-
 	// IOTimeout bounds blocking transport operations: sends that cannot
 	// make progress fail with a timeout instead of hanging, and the
 	// mpidrun master re-checks its failure detector at this interval while
-	// waiting for worker events. Defaults to 2s when fault injection is
-	// enabled; 0 (no deadline) otherwise.
+	// waiting for worker events. Defaults to 2s when the job runs under
+	// injected faults; 0 (no deadline) otherwise.
 	IOTimeout time.Duration
 
 	// Extra carries user-defined configuration, as MPI_D_Init's conf
@@ -268,21 +208,6 @@ func (c *Config) Normalize(mode Mode) error {
 	if c.CheckpointRecords <= 0 {
 		c.CheckpointRecords = 4096
 	}
-	if c.PrepareWorkers <= 0 {
-		c.PrepareWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.MergeWorkers <= 0 {
-		c.MergeWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.SpillCompactFanIn == 0 {
-		c.SpillCompactFanIn = 8
-	}
-	if c.SpillCompactFanIn < 0 {
-		c.SpillCompactFanIn = 1
-	}
-	if (c.FaultPlan != nil || c.FaultInjector != nil) && c.IOTimeout <= 0 {
-		c.IOTimeout = 2 * time.Second
-	}
 	if c.ChunkBytes < 0 {
 		return &ConfigError{Field: "ChunkBytes", Reason: fmt.Sprintf("%d is negative", c.ChunkBytes)}
 	}
@@ -298,13 +223,6 @@ func (c *Config) Normalize(mode Mode) error {
 	if c.FaultTolerance && c.CheckpointDir == "" {
 		return errors.New("core: FaultTolerance requires CheckpointDir")
 	}
-	if c.StreamCreditWindow < -1 {
-		return &ConfigError{Field: "StreamCreditWindow",
-			Reason: fmt.Sprintf("%d is negative (use -1 to disable flow control)", c.StreamCreditWindow)}
-	}
-	if mode == Streaming && c.StreamCreditWindow == 0 {
-		c.StreamCreditWindow = 4096
-	}
 	if c.PartialRestart {
 		if !c.FaultTolerance {
 			return errors.New("core: PartialRestart requires FaultTolerance")
@@ -317,15 +235,6 @@ func (c *Config) Normalize(mode Mode) error {
 		}
 	}
 	return nil
-}
-
-// creditWindow returns the effective streaming credit window for the mode,
-// or 0 when flow control is off (non-streaming modes, or the -1 ablation).
-func (c *Config) creditWindow(mode Mode) int64 {
-	if mode != Streaming || c.StreamCreditWindow <= 0 {
-		return 0
-	}
-	return int64(c.StreamCreditWindow)
 }
 
 // compare is Compare with nil resolved to raw-byte order, for the stages

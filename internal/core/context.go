@@ -380,9 +380,7 @@ func (c *Context) RecvRecord() (kv.Record, bool, error) {
 		if ok {
 			c.received++
 			c.proc.rt.ctrs.streamEventsOut.Add(1)
-			if c.proc.credits != nil {
-				c.proc.creditConsume(c.streamPart)
-			}
+			c.proc.creditConsume(c.streamPart)
 		}
 		return rec, ok, nil
 	}

@@ -10,7 +10,7 @@ import (
 
 // Credit-based flow control for the Streaming data plane: every directed
 // (sender process, receiver process) pair owns a window of record credits
-// (Config.StreamCreditWindow). The transmit stage acquires one credit per
+// (Hooks.streamCredits, 4096 records). The transmit stage acquires one credit per
 // record before the transport send and blocks when the window is empty;
 // the receiving side grants credits back as the stream consumers drain
 // their channels, batching grants into quantum-sized frames on tagCredit.

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strconv"
 
 	"datampi/internal/mpi"
 	"datampi/internal/trace"
@@ -37,7 +36,7 @@ func (rt *Runtime) setupDist() error {
 		return fmt.Errorf("core: distributed world has %d ranks, want Procs+1 = %d",
 			w.Size(), j.Procs+1)
 	}
-	if j.Conf.FaultInjector != nil || j.Conf.FaultPlan != nil {
+	if j.hooks.faulty() {
 		return errors.New("core: fault injection is in-process only; kill worker processes instead")
 	}
 	rt.distMaster = true
@@ -69,8 +68,9 @@ func (rt *Runtime) setupDist() error {
 // master's commands until shutdown, and reports its counters and trace
 // on the final bye. The job must be constructed identically to the
 // master's (same geometry and mode; task functions live here).
-// It returns nil after a clean shutdown handshake.
-func RunWorker(job *Job, world *mpi.World, rank int) error {
+// attempt is the launcher's attempt number, stamped on the rank's trace
+// row. It returns nil after a clean shutdown handshake.
+func RunWorker(job *Job, world *mpi.World, rank, attempt int) error {
 	if err := job.validate(); err != nil {
 		return &RunError{Phase: "validate", Rank: rank, Err: err}
 	}
@@ -113,10 +113,6 @@ func RunWorker(job *Job, world *mpi.World, rank int) error {
 	// trace then proves which ranks kept their process across a partial
 	// restart (same pid, attempt 0) and which were respawned (attempt >0).
 	if tb := job.Trace.Rank(rank); tb != nil {
-		attempt := 0
-		if s := job.Conf.Extra["attempt"]; s != "" {
-			attempt, _ = strconv.Atoi(s)
-		}
 		tb.Instant(tidControl, "proc.start", "control",
 			map[string]any{"pid": os.Getpid(), "attempt": attempt})
 	}

@@ -69,7 +69,7 @@ func TestDistRunWordCount(t *testing.T) {
 			defer wg.Done()
 			wj := wordCountJob(testDocs, 4, procs, out)
 			wj.Trace = trace.New()
-			workerErrs[r] = RunWorker(wj, worlds[r], r)
+			workerErrs[r] = RunWorker(wj, worlds[r], r, 0)
 		}(r)
 	}
 	mjob := wordCountJob(testDocs, 4, procs, &collector{})
@@ -134,7 +134,7 @@ func TestDistRunWorkerDeclaredDead(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		wj := wordCountJob(testDocs, 2, procs, out)
-		RunWorker(wj, worlds[0], 0) // fails once the master aborts; that's fine
+		RunWorker(wj, worlds[0], 0, 0) // fails once the master aborts; that's fine
 	}()
 	// Rank 1 joined the rendezvous-equivalent (its world exists) but its
 	// RunWorker never starts. The launcher notices and declares it dead.

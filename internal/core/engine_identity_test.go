@@ -21,17 +21,17 @@ import (
 // engineVariants are the configurations proven counter-identical.
 var engineVariants = []struct {
 	name string
-	tune func(*Config)
+	tune func(*Job)
 	shm  bool // run over WithShmTransport instead of the case's transport
 }{
-	{"engine-on", func(*Config) {}, false},
+	{"engine-on", func(*Job) {}, false},
 	// Same-host rings and the ShmOff ablation: the transport under the
 	// batches changes, the application-visible counters must not.
-	{"shm", func(*Config) {}, true},
-	{"shm-off", func(c *Config) { c.ShmOff = true }, true},
+	{"shm", func(*Job) {}, true},
+	{"shm-off", func(j *Job) { j.Conf.ShmOff = true }, true},
 	// Serial pipeline pools: width may only change timing, never data.
-	{"prepare-1", func(c *Config) { c.PrepareWorkers = 1 }, false},
-	{"merge-1", func(c *Config) { c.MergeWorkers = 1 }, false},
+	{"prepare-1", func(j *Job) { j.hooks.prepareWorkers = 1 }, false},
+	{"merge-1", func(j *Job) { j.hooks.mergeWorkers = 1 }, false},
 }
 
 // stripWireCounters drops the mpi.* keys — the only counters an engine
@@ -50,7 +50,7 @@ func stripWireCounters(rc map[string]int64) map[string]int64 {
 // assertEngineIdentity runs the job factory once per engine variant over
 // the case's transport options and fails on any non-mpi counter differing
 // from the engine-on baseline.
-func assertEngineIdentity(t *testing.T, opts []RunOption, run func(tune func(*Config), opts ...RunOption) map[string]int64) {
+func assertEngineIdentity(t *testing.T, opts []RunOption, run func(tune func(*Job), opts ...RunOption) map[string]int64) {
 	t.Helper()
 	var base map[string]int64
 	for _, v := range engineVariants {
@@ -81,7 +81,7 @@ func assertEngineIdentity(t *testing.T, opts []RunOption, run func(tune func(*Co
 func TestEngineCounterIdentityCommon(t *testing.T) {
 	t.Parallel()
 	transportCases(t, func(t *testing.T, opts ...RunOption) {
-		assertEngineIdentity(t, opts, func(tune func(*Config), opts ...RunOption) map[string]int64 {
+		assertEngineIdentity(t, opts, func(tune func(*Job), opts ...RunOption) map[string]int64 {
 			// NumO <= Procs*Slots so every task is assigned in the first
 			// dispatch wave: task placement (and with it the per-pair
 			// counters) is deterministic, making the full-map comparison
@@ -90,7 +90,7 @@ func TestEngineCounterIdentityCommon(t *testing.T) {
 			out := newSumCollector(2)
 			job := groupedSumJob(Common, recs, 2, 2, nil, out)
 			job.Slots = 2
-			tune(&job.Conf)
+			tune(job)
 			res, err := Run(job, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -105,14 +105,14 @@ func TestEngineCounterIdentityCommon(t *testing.T) {
 func TestEngineCounterIdentityMapReduce(t *testing.T) {
 	t.Parallel()
 	transportCases(t, func(t *testing.T, opts ...RunOption) {
-		assertEngineIdentity(t, opts, func(tune func(*Config), opts ...RunOption) map[string]int64 {
+		assertEngineIdentity(t, opts, func(tune func(*Job), opts ...RunOption) map[string]int64 {
 			// Small key space so the combiner folds records: combine.in/out
 			// must survive batching bit-for-bit too.
 			recs := genWorkload(73, 4, 150, 8)
 			out := newSumCollector(2)
 			job := groupedSumJob(MapReduce, recs, 2, 2, sumCombine, out)
 			job.Slots = 2 // deterministic first-wave placement, as above
-			tune(&job.Conf)
+			tune(job)
 			res, err := Run(job, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -134,7 +134,7 @@ func TestEngineCounterIdentityIteration(t *testing.T) {
 	iterKey := func(o, r, j int) int64 { return int64((o*31 + r*17 + j) % 11) }
 	const numO, numA, rounds, perRound = 2, 2, 3, 60
 	transportCases(t, func(t *testing.T, opts ...RunOption) {
-		assertEngineIdentity(t, opts, func(tune func(*Config), opts ...RunOption) map[string]int64 {
+		assertEngineIdentity(t, opts, func(tune func(*Job), opts ...RunOption) map[string]int64 {
 			var mu sync.Mutex
 			sums := make(map[int64]int64)
 			job := &Job{
@@ -187,7 +187,7 @@ func TestEngineCounterIdentityIteration(t *testing.T) {
 					return nil
 				},
 			}
-			tune(&job.Conf)
+			tune(job)
 			res, err := Run(job, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -212,7 +212,7 @@ func TestEngineCounterIdentityIteration(t *testing.T) {
 func TestEngineCounterIdentityStreaming(t *testing.T) {
 	t.Parallel()
 	transportCases(t, func(t *testing.T, opts ...RunOption) {
-		assertEngineIdentity(t, opts, func(tune func(*Config), opts ...RunOption) map[string]int64 {
+		assertEngineIdentity(t, opts, func(tune func(*Job), opts ...RunOption) map[string]int64 {
 			recs := genWorkload(79, 3, 100, 15)
 			out := newSumCollector(2)
 			job := &Job{
@@ -240,7 +240,7 @@ func TestEngineCounterIdentityStreaming(t *testing.T) {
 					}
 				},
 			}
-			tune(&job.Conf)
+			tune(job)
 			res, err := Run(job, opts...)
 			if err != nil {
 				t.Fatal(err)

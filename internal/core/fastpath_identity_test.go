@@ -125,12 +125,12 @@ func identityJob(shape string, n int, out *identityOutput) *Job {
 		Mode: MapReduce,
 		Conf: Config{
 			KeyCodec: kv.Bytes, ValueCodec: kv.Bytes,
-			Partition:    firstBytePartition,
-			SPLBytes:     256,
-			MergeWorkers: 1,
+			Partition: firstBytePartition,
+			SPLBytes:  256,
 		},
 		NumO: 1, NumA: numA, Procs: 2, Slots: 2,
 	}
+	job.hooks.mergeWorkers = 1
 	switch shape {
 	case "terasort":
 		keys := teraShapeKeys(41, n)
@@ -203,7 +203,7 @@ func runIdentityCase(t *testing.T, shape, scenario string, cmp kv.Compare, opts 
 	switch scenario {
 	case "spill":
 		job.Conf.MemCacheBytes = 1 << 10
-		job.Conf.SpillCompactFanIn = 4
+		job.hooks.spillCompactFanIn = 4
 		for i := 0; i < job.Procs; i++ {
 			d, err := diskio.New(t.TempDir())
 			if err != nil {

@@ -115,14 +115,14 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 		injected bool
 	}{
 		{"preShuffle", func(job *Job) {
-			job.Conf.InjectFailAfterRecords = 40
+			job.hooks.InjectFailAfterRecords = 40
 		}, true},
 		{"midCommit", func(job *Job) {
 			// Torn commit: the hook error fires after the chunk's tmp file
 			// is written and fsynced, before the atomic rename — recovery
 			// must treat the chunk as if it never existed.
 			var commits atomic.Int64
-			job.Conf.CheckpointCommitHook = func(task, seq int) error {
+			job.hooks.CheckpointCommitHook = func(task, seq int) error {
 				if commits.Add(1) == 3 {
 					return ErrInjectedFailure
 				}
@@ -133,7 +133,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			job.Conf.InjectFailAfterCPRecords = 700
 		}, true},
 		{"duringMerge", func(job *Job) {
-			job.Conf.FaultPlan = fault.KillRank(7, 1, 25)
+			job.hooks.FaultPlan = fault.KillRank(7, 1, 25)
 			job.Conf.IOTimeout = 200 * time.Millisecond
 		}, false},
 	}

@@ -235,7 +235,7 @@ func TestMidFlightCrashRecovery(t *testing.T) {
 	job1.Conf.FaultTolerance = true
 	job1.Conf.CheckpointDir = dir
 	job1.Conf.CheckpointRecords = 50
-	job1.Conf.InjectFailAfterRecords = 1100
+	job1.hooks.InjectFailAfterRecords = 1100
 	if _, err := Run(job1); !errors.Is(err, ErrInjectedFailure) {
 		t.Fatalf("want ErrInjectedFailure, got %v", err)
 	}

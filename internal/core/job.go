@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"datampi/internal/diskio"
 	"datampi/internal/hdfs"
@@ -71,6 +72,9 @@ type Job struct {
 	// retries) for chrome://tracing. nil disables tracing at the cost of
 	// one pointer check per event site.
 	Trace *trace.Tracer
+
+	// hooks are test instruments (see Hooks); zero in every program.
+	hooks Hooks
 }
 
 // validate fills defaults and checks the job description.
@@ -101,6 +105,9 @@ func (j *Job) validate() error {
 	}
 	if j.Conf.MemCacheBytes > 0 && j.SpillDisks == nil {
 		return errors.New("core: MemCacheBytes requires SpillDisks to spill to")
+	}
+	if j.hooks.faulty() && j.Conf.IOTimeout <= 0 {
+		j.Conf.IOTimeout = 2 * time.Second
 	}
 	return j.Conf.Normalize(j.Mode)
 }

@@ -194,16 +194,16 @@ func (ms *mergeState) commitSpillLocked(victim int, rel string, freed int64) {
 }
 
 // maybeCompactLocked starts a background compaction once a partition has
-// accumulated SpillCompactFanIn disk runs: the oldest runs are detached
+// accumulated compactFanIn disk runs: the oldest runs are detached
 // and k-way merged into a single sorted run off the lock, bounding the
 // fan-in (and open file handles) of the final NextGroup merge. The
 // compaction holds a pending reference, so the state cannot finalize —
 // and the runs being rewritten cannot be read or released — while it is
 // in flight. Caller holds ms.mu.
 func (ms *mergeState) maybeCompactLocked(partition int) {
-	fan := ms.p.rt.job.Conf.SpillCompactFanIn
+	fan := ms.p.rt.job.hooks.compactFanIn()
 	pr := ms.parts[partition]
-	if fan <= 1 || pr == nil || pr.compacting || ms.finalized || len(pr.diskRuns) < fan {
+	if pr == nil || pr.compacting || ms.finalized || len(pr.diskRuns) < fan {
 		return
 	}
 	rels := append([]string(nil), pr.diskRuns[:fan]...)

@@ -24,16 +24,16 @@ import (
 // O-side serial ablation path, and on each side a single async worker and
 // a pool wider than GOMAXPROCS on small machines (out-of-order completion
 // either way).
-func pipelineConfigs(t *testing.T, fn func(t *testing.T, tune func(*Config))) {
+func pipelineConfigs(t *testing.T, fn func(t *testing.T, tune func(*Job))) {
 	cases := []struct {
 		name string
-		tune func(*Config)
+		tune func(*Job)
 	}{
-		{"serial", func(c *Config) { c.OSidePipelineOff = true }},
-		{"workers=1", func(c *Config) { c.PrepareWorkers = 1 }},
-		{"workers=4", func(c *Config) { c.PrepareWorkers = 4 }},
-		{"merge-workers=1", func(c *Config) { c.MergeWorkers = 1 }},
-		{"merge-workers=4", func(c *Config) { c.MergeWorkers = 4 }},
+		{"serial", func(j *Job) { j.Conf.OSidePipelineOff = true }},
+		{"workers=1", func(j *Job) { j.hooks.prepareWorkers = 1 }},
+		{"workers=4", func(j *Job) { j.hooks.prepareWorkers = 4 }},
+		{"merge-workers=1", func(j *Job) { j.hooks.mergeWorkers = 1 }},
+		{"merge-workers=4", func(j *Job) { j.hooks.mergeWorkers = 4 }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -49,7 +49,7 @@ func TestPipelineOracleBatchModes(t *testing.T) {
 	for _, mode := range []Mode{Common, MapReduce} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			pipelineConfigs(t, func(t *testing.T, tune func(*Config)) {
+			pipelineConfigs(t, func(t *testing.T, tune func(*Job)) {
 				transportCases(t, func(t *testing.T, opts ...RunOption) {
 					recs := genWorkload(41, 3, 150, 12)
 					out := newSumCollector(3)
@@ -59,7 +59,7 @@ func TestPipelineOracleBatchModes(t *testing.T) {
 					}
 					job := groupedSumJob(mode, recs, 3, 2, combine, out)
 					job.Conf.SPLBytes = 128
-					tune(&job.Conf)
+					tune(job)
 					res, err := Run(job, opts...)
 					if err != nil {
 						t.Fatal(err)
@@ -76,7 +76,7 @@ func TestPipelineOracleBatchModes(t *testing.T) {
 // frames skip the prepare stage entirely but still share the ordered
 // transmit queue with flush markers.
 func TestPipelineOracleStreamingMode(t *testing.T) {
-	pipelineConfigs(t, func(t *testing.T, tune func(*Config)) {
+	pipelineConfigs(t, func(t *testing.T, tune func(*Job)) {
 		transportCases(t, func(t *testing.T, opts ...RunOption) {
 			recs := genWorkload(43, 3, 120, 20)
 			out := newSumCollector(2)
@@ -105,7 +105,7 @@ func TestPipelineOracleStreamingMode(t *testing.T) {
 					}
 				},
 			}
-			tune(&job.Conf)
+			tune(job)
 			res, err := Run(job, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -127,7 +127,7 @@ func TestPipelineOracleIterationMode(t *testing.T) {
 	iterKey := func(o, r, j int) int64 { return int64((o*29 + r*13 + j) % keySpace) }
 	iterVal := func(o, r, j int) int64 { return int64(o + r*5 + j%7 + 1) }
 
-	pipelineConfigs(t, func(t *testing.T, tune func(*Config)) {
+	pipelineConfigs(t, func(t *testing.T, tune func(*Job)) {
 		transportCases(t, func(t *testing.T, opts ...RunOption) {
 			var mu sync.Mutex
 			gotSums := make([]map[int64]int64, numA)
@@ -199,7 +199,7 @@ func TestPipelineOracleIterationMode(t *testing.T) {
 					return nil
 				},
 			}
-			tune(&job.Conf)
+			tune(job)
 			res, err := Run(job, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -254,13 +254,13 @@ func TestPipelineOracleIterationMode(t *testing.T) {
 // comparison proves compacted runs lose nothing; the counters prove
 // compaction actually fired and each pass merged at least fan-in runs.
 func TestPipelineOracleSpillCompaction(t *testing.T) {
-	pipelineConfigs(t, func(t *testing.T, tune func(*Config)) {
+	pipelineConfigs(t, func(t *testing.T, tune func(*Job)) {
 		recs := genWorkload(53, 3, 200, 12)
 		out := newSumCollector(2)
 		job := groupedSumJob(MapReduce, recs, 2, 2, nil, out)
 		job.Conf.SPLBytes = 128
 		job.Conf.MemCacheBytes = 256 // nearly every received run spills
-		job.Conf.SpillCompactFanIn = 2
+		job.hooks.spillCompactFanIn = 2
 		disks := make([]*diskio.Disk, job.Procs)
 		for p := range disks {
 			d, err := diskio.New(t.TempDir())
@@ -270,7 +270,7 @@ func TestPipelineOracleSpillCompaction(t *testing.T) {
 			disks[p] = d
 		}
 		job.SpillDisks = disks
-		tune(&job.Conf)
+		tune(job)
 		res, err := Run(job)
 		if err != nil {
 			t.Fatal(err)
@@ -298,8 +298,8 @@ func TestPipelineOrderingUnderLinkChaos(t *testing.T) {
 		out := newSumCollector(3)
 		job := groupedSumJob(MapReduce, recs, 3, 2, sumCombine, out)
 		job.Conf.SPLBytes = 128
-		job.Conf.PrepareWorkers = 4
-		job.Conf.FaultPlan = fault.LinkChaos(0xFACADE, 0.2, time.Millisecond)
+		job.hooks.prepareWorkers = 4
+		job.hooks.FaultPlan = fault.LinkChaos(0xFACADE, 0.2, time.Millisecond)
 		res, err := runWithDeadline(t, job, opts...)
 		if err != nil {
 			t.Fatal(err)

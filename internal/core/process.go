@@ -36,7 +36,7 @@ const endPartition = 0xFFFFFFF
 // strict submission order — so per-(task, destination) order, and with it
 // the end-markers-trail-all-data invariant, survives the parallelism.
 // The receive side mirrors it: dataReceiver stays the single transport
-// reader but only dispatches, fanning data frames out to a MergeWorkers-
+// reader but only dispatches, fanning data frames out to a GOMAXPROCS-
 // wide merge pool (the paper's merge thread kind) that counts, merges and
 // spills concurrently with further reception; per-frame pending
 // references on the mergeState keep the end-marker invariant intact.
@@ -93,7 +93,7 @@ type process struct {
 	streamScratch []kv.Record
 
 	// credits is the streaming flow-control state; nil outside Streaming
-	// mode or under the StreamCreditWindow=-1 ablation.
+	// mode.
 	credits *creditState
 
 	shutdownOnce sync.Once
@@ -175,8 +175,8 @@ func newProcess(rt *Runtime, idx int, comm *mpi.Comm) *process {
 		p.dedup = true
 		p.seen = make(map[dedupKey]map[int64]struct{})
 	}
-	if w := cfg.creditWindow(rt.job.Mode); w > 0 {
-		p.credits = newCreditState(comm.Size(), w)
+	if rt.job.Mode == Streaming {
+		p.credits = newCreditState(comm.Size(), rt.job.hooks.streamCredits())
 		p.wg.Add(1)
 		go p.creditReceiver()
 	}
@@ -184,19 +184,11 @@ func newProcess(rt *Runtime, idx int, comm *mpi.Comm) *process {
 	go p.senderLoop()
 	go p.transmitLoop()
 	go p.dataReceiver()
-	workers := rt.job.Conf.PrepareWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < rt.job.hooks.prepareWidth(); w++ {
 		p.wg.Add(1)
 		go p.prepareWorker(w)
 	}
-	mergers := rt.job.Conf.MergeWorkers
-	if mergers < 1 {
-		mergers = 1
-	}
-	for w := 0; w < mergers; w++ {
+	for w := 0; w < rt.job.hooks.mergeWidth(); w++ {
 		p.wg.Add(1)
 		go p.mergeWorker(w)
 	}
@@ -536,12 +528,12 @@ func (p *process) dataReceiver() {
 			}
 			if _, dup := s[idx]; dup {
 				// A replayed frame this process already merged (partial
-				// restart); drop it before it is counted or merged. Under
-				// flow control its credits still have to flow back, or the
+				// restart); drop it before it is counted or merged. A
+				// streaming frame's credits still have to flow back, or the
 				// replaying sender would stall against records that were
 				// never queued.
 				p.rt.ctrs.partialDupFrames.Add(1)
-				if streaming && p.credits != nil {
+				if streaming {
 					if nrec, cerr := kv.CountRecords(records); cerr == nil {
 						p.creditRefund(st.Source, nrec)
 					}
@@ -719,18 +711,14 @@ func (p *process) streamDeliver(partition, src int, nrec int64, records []byte) 
 	if p.streamsClosed {
 		p.streamMu.Unlock()
 		p.rt.ctrs.streamFramesAfterEOS.Add(1)
-		if p.credits != nil {
-			p.creditRefund(src, nrec)
-		}
+		p.creditRefund(src, nrec)
 		return false, nil
 	}
 	ch := p.streamChanLocked(partition)
 	p.streamMu.Unlock()
-	if p.credits != nil {
-		// The ledger entry must exist before the first record can possibly
-		// be consumed, so note the batch ahead of the channel sends.
-		p.creditNote(partition, src, nrec)
-	}
+	// The ledger entry must exist before the first record can possibly be
+	// consumed, so note the batch ahead of the channel sends.
+	p.creditNote(partition, src, nrec)
 	// records aliases the received wire buffer, which the transport handed
 	// over for good (mpi's recv ownership contract) — so the delivered
 	// Records can alias it too: one backing buffer per message instead of

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestRandomizedConfigurations(t *testing.T) {
 		useSpill := rng.Intn(2) == 1
 		pipelineOff := rng.Intn(4) == 0
 		mergeWorkers := rng.Intn(5)                // 0 selects the GOMAXPROCS default
-		compactFan := []int{0, -1, 2}[rng.Intn(3)] // default, disabled, aggressive
+		compactFan := []int{0, -1, 2}[rng.Intn(3)] // default, never, aggressive
 		dataCentricOff := rng.Intn(4) == 0
 		tcp := rng.Intn(5) == 0
 		words := 100 + rng.Intn(900)
@@ -47,8 +48,11 @@ func TestRandomizedConfigurations(t *testing.T) {
 			job.Slots = slots
 			job.Conf.SPLBytes = splBytes
 			job.Conf.OSidePipelineOff = pipelineOff
-			job.Conf.MergeWorkers = mergeWorkers
-			job.Conf.SpillCompactFanIn = compactFan
+			job.hooks.mergeWorkers = mergeWorkers
+			job.hooks.spillCompactFanIn = compactFan
+			if compactFan < 0 {
+				job.hooks.spillCompactFanIn = math.MaxInt // no partition reaches it
+			}
 			job.Conf.DataCentricOff = dataCentricOff
 			if useSpill {
 				disks := make([]*diskio.Disk, procs)

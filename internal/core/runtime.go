@@ -297,13 +297,7 @@ func (rt *Runtime) setup() error {
 	if rt.rcfg.link != nil {
 		wopts = append(wopts, mpi.WithLink(rt.rcfg.link))
 	}
-	switch {
-	case j.Conf.FaultInjector != nil:
-		rt.inj = j.Conf.FaultInjector
-	case j.Conf.FaultPlan != nil:
-		rt.inj = fault.NewInjector(j.Conf.FaultPlan)
-	}
-	if rt.inj != nil {
+	if rt.inj = j.hooks.injector(); rt.inj != nil {
 		wopts = append(wopts, mpi.WithFaults(rt.inj))
 	}
 	if d := j.Conf.IOTimeout; d > 0 {
@@ -381,19 +375,11 @@ func (rt *Runtime) nameTraceRows() {
 		tr.SetThreadName(i, tidControl, "control")
 		tr.SetThreadName(i, tidSend, "send")
 		tr.SetThreadName(i, tidRecv, "recv")
-		mw := j.Conf.MergeWorkers
-		if mw > maxMergeRows {
-			mw = maxMergeRows
-		}
-		for w := 0; w < mw; w++ {
+		for w := 0; w < min(j.hooks.mergeWidth(), maxMergeRows); w++ {
 			tr.SetThreadName(i, mergeTID(w), fmt.Sprintf("merge-%d", w))
 		}
 		tr.SetThreadName(i, tidCompact, "spill-compact")
-		pw := j.Conf.PrepareWorkers
-		if pw > maxPrepareRows {
-			pw = maxPrepareRows
-		}
-		for w := 0; w < pw; w++ {
+		for w := 0; w < min(j.hooks.prepareWidth(), maxPrepareRows); w++ {
 			tr.SetThreadName(i, prepTID(w), fmt.Sprintf("prepare-%d", w))
 		}
 	}
@@ -597,7 +583,7 @@ func (rt *Runtime) countSend() error {
 	if err := rt.err(); err != nil {
 		return err
 	}
-	if fa := rt.job.Conf.InjectFailAfterRecords; fa > 0 && rt.injSent.Add(1) > fa {
+	if fa := rt.job.hooks.InjectFailAfterRecords; fa > 0 && rt.injSent.Add(1) > fa {
 		rt.fail(ErrInjectedFailure)
 		return ErrInjectedFailure
 	}

@@ -182,7 +182,7 @@ func TestSpillDifferential(t *testing.T) {
 		job := sortJob(perO, &parts)
 		job.Conf.MemCacheBytes = c.cache
 		job.Conf.SPLBytes = int(c.spl)
-		job.Conf.SpillCompactFanIn = c.fanIn
+		job.hooks.spillCompactFanIn = c.fanIn
 		job.SpillDisks = disks
 		res, err := Run(job)
 		if err != nil {

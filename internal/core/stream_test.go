@@ -324,11 +324,7 @@ func TestStreamBackpressureChaos(t *testing.T) {
 			got := map[string]int{}
 			job := &Job{
 				Mode: Streaming,
-				Conf: Config{
-					StreamCreditWindow: window,
-					SPLBytes:           64,
-					FaultPlan:          plan,
-				},
+				Conf: Config{SPLBytes: 64},
 				NumO: numO, NumA: numA, Procs: 2, Slots: 2,
 				OTask: func(ctx *Context) error {
 					for i := 0; i < perTask; i++ {
@@ -355,6 +351,8 @@ func TestStreamBackpressureChaos(t *testing.T) {
 					}
 				},
 			}
+			job.hooks.creditWindow = window
+			job.hooks.FaultPlan = plan
 			res, err := Run(job, tr.opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -383,53 +381,6 @@ func TestStreamBackpressureChaos(t *testing.T) {
 				t.Error("no credits granted")
 			}
 		})
-	}
-}
-
-// TestStreamCreditAblation checks the -1 escape hatch: flow control off,
-// no credit counters, delivery still complete.
-func TestStreamCreditAblation(t *testing.T) {
-	const total = 200
-	var delivered int
-	var mu sync.Mutex
-	job := &Job{
-		Mode: Streaming,
-		Conf: Config{StreamCreditWindow: -1},
-		NumO: 2, NumA: 2, Procs: 2, Slots: 2,
-		OTask: func(ctx *Context) error {
-			for i := 0; i < total/2; i++ {
-				if err := ctx.Send(fmt.Sprintf("k%d-%d", ctx.Rank(), i), "v"); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		ATask: func(ctx *Context) error {
-			for {
-				_, ok, err := ctx.RecvRecord()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				mu.Lock()
-				delivered++
-				mu.Unlock()
-			}
-		},
-	}
-	res, err := Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delivered != total {
-		t.Errorf("delivered %d, want %d", delivered, total)
-	}
-	for _, k := range []string{"stream.credits.granted", "stream.credits.stalls", "stream.credits.max.outstanding"} {
-		if _, present := res.RuntimeCounters[k]; present {
-			t.Errorf("counter %s present with flow control disabled", k)
-		}
 	}
 }
 

@@ -101,13 +101,10 @@ func (rt *Runtime) taskContext(p *process, task int, isO bool, skip int64) *Cont
 			skip:    skip,
 			cpTotal: skip,
 		}
-		if w := rt.job.Conf.creditWindow(rt.job.Mode); w > 0 && isO {
+		if isO && rt.job.Mode == Streaming {
 			// Cap sealed frames at half the credit window so no single frame
 			// can demand more credits than the window holds.
-			ctx.spl.maxRecords = w / 2
-			if ctx.spl.maxRecords < 1 {
-				ctx.spl.maxRecords = 1
-			}
+			ctx.spl.maxRecords = rt.job.hooks.streamCredits() / 2
 		}
 		p.ctxs[key] = ctx
 	}

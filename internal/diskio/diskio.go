@@ -7,6 +7,7 @@
 package diskio
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -75,13 +76,16 @@ func (d *Disk) charge(n int) {
 	time.Sleep(time.Until(wake))
 }
 
-// Create creates (truncating) a file for writing.
+// Create creates (truncating) a file for writing, making its directory
+// only when it is missing: a spill writes many files into one directory.
 func (d *Disk) Create(rel string) (*File, error) {
 	p := d.Path(rel)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return nil, err
-	}
 	f, err := os.Create(p)
+	if errors.Is(err, os.ErrNotExist) {
+		if err = os.MkdirAll(filepath.Dir(p), 0o755); err == nil {
+			f, err = os.Create(p)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -52,6 +52,30 @@ func TestCreateWriteReadCounters(t *testing.T) {
 	}
 }
 
+// TestCreateMakesMissingDir: Create makes a missing nested directory,
+// and makes it again after the directory is removed under it.
+func TestCreateMakesMissingDir(t *testing.T) {
+	d, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		f, err := d.Create("a/b/c/run.dat")
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := d.Size("a/b/c/run.dat"); err != nil || n != 0 {
+			t.Fatalf("round %d: size %d, %v", round, n, err)
+		}
+		if err := d.RemoveAll("a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestReadAt(t *testing.T) {
 	d, err := New(t.TempDir())
 	if err != nil {

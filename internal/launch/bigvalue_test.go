@@ -19,6 +19,20 @@ func bigvalueSpec(base string) JobSpec {
 	}
 }
 
+// privateTmp points TMPDIR, which spawned workers inherit, at a fresh
+// directory for the rest of the test, and returns a check that nothing
+// the blob stores made is left in it.
+func privateTmp(t *testing.T) func() {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	return func() {
+		t.Helper()
+		if left, _ := filepath.Glob(filepath.Join(tmp, "dmpi-blob-*")); len(left) > 0 {
+			t.Errorf("blob directories left behind: %v", left)
+		}
+	}
+}
+
 // TestProcBigValueE2E streams values larger than the chunk threshold
 // across real worker OS processes and requires the part files
 // byte-identical to the in-process sequential oracle.
@@ -26,6 +40,7 @@ func TestProcBigValueE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
+	noBlobsLeft := privateTmp(t)
 	base := t.TempDir()
 	spec := bigvalueSpec(base)
 	ospec := spec
@@ -46,6 +61,7 @@ func TestProcBigValueE2E(t *testing.T) {
 			t.Errorf("%s = 0: the workload did not exercise chunking", k)
 		}
 	}
+	noBlobsLeft()
 }
 
 // TestProcBigValueMidChunkKill is the crash-matrix case for the
@@ -58,6 +74,7 @@ func TestProcBigValueMidChunkKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
+	noBlobsLeft := privateTmp(t)
 	base := t.TempDir()
 	spec := bigvalueSpec(base)
 	spec.FT = true
@@ -84,4 +101,5 @@ func TestProcBigValueMidChunkKill(t *testing.T) {
 	if res.RuntimeCounters["blob.values.received"] == 0 {
 		t.Error("no blob values crossed the data plane — the workload did not exercise chunking")
 	}
+	noBlobsLeft()
 }

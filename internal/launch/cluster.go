@@ -8,11 +8,13 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
+	"datampi/internal/core"
 	"datampi/internal/mpi"
 )
 
@@ -282,6 +284,12 @@ func (c *Cluster) watch(rank int, cmd *exec.Cmd) {
 		fmt.Fprintf(c.cfg.Output, "[launcher] worker %d exited: %v\n", rank, err)
 		c.world.DeclareDead(rank)
 	}
+	// A worker that finished RunWorker removed its blob directories; a
+	// killed one could not.
+	dirs, _ := filepath.Glob(filepath.Join(os.TempDir(), core.BlobDirs(cmd.Process.Pid)))
+	for _, d := range dirs {
+		os.RemoveAll(d)
+	}
 }
 
 // Respawn starts a replacement OS process for a dead worker rank and
@@ -378,8 +386,9 @@ func (c *Cluster) killAll() {
 }
 
 // Shutdown ends the attempt: closes the world, closes every worker's
-// stdin (their orphan watchdog makes them exit), SIGKILLs any that
-// outlive the grace period, and returns how each worker ended.
+// stdin (their watchdog closes their world, so RunWorker returns through
+// its cleanup and the process exits), SIGKILLs any that outlive the grace
+// period, and returns how each worker ended.
 func (c *Cluster) Shutdown() []WorkerExit {
 	c.closing.Store(true)
 	c.world.Close()

@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"datampi/internal/mpi"
@@ -43,8 +44,8 @@ const (
 	EnvShmDir = "DATAMPI_SHM_DIR"
 )
 
-// orphanExit is the exit code of a worker whose launcher disappeared
-// (stdin EOF watchdog).
+// orphanExit is the exit code of a worker that did not finish on its own
+// within termGrace of its launcher closing stdin (see JoinAsWorker).
 const orphanExit = 3
 
 // IsSpawnedWorker reports whether this process was spawned as a DataMPI
@@ -90,10 +91,20 @@ func JoinAsWorker() (*Worker, error) {
 		return nil, err
 	}
 
-	// If the launcher dies, its end of our stdin pipe closes; exit rather
-	// than linger as an orphan holding ports and checkpoint files.
+	// The launcher's end of our stdin pipe closes when it shuts the fleet
+	// down or dies. Close the world then rather than exit on the spot: the
+	// worker loop returns, and RunWorker finishes its cleanup (a worker
+	// that already said bye is in the middle of it) before the process
+	// exits. A worker still bootstrapping, or one whose cleanup wedges,
+	// exits after termGrace instead of lingering as an orphan holding
+	// ports and checkpoint files.
+	var joined atomic.Pointer[mpi.World]
 	go func() {
 		io.Copy(io.Discard, os.Stdin)
+		if w := joined.Load(); w != nil {
+			w.Close()
+			time.Sleep(termGrace)
+		}
 		os.Exit(orphanExit)
 	}()
 
@@ -127,6 +138,7 @@ func JoinAsWorker() (*Worker, error) {
 		ep.Close()
 		return nil, err
 	}
+	joined.Store(world)
 	return &Worker{World: world, Rank: rank, Procs: procs,
 		Attempt: attempt, IOTimeout: ioTimeout}, nil
 }

@@ -115,5 +115,5 @@ func RunSpawnedWorker() error {
 	// Workers always trace; the buffer rides back to the master on the
 	// final bye and merges into the launcher's tracer if one is active.
 	job := spec.BuildJob(w.Rank, w.Attempt, trace.New())
-	return core.RunWorker(job, w.World, w.Rank)
+	return core.RunWorker(job, w.World, w.Rank, w.Attempt)
 }

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -181,21 +180,9 @@ func (s *JobSpec) BuildJob(workerRank, attempt int, tr *trace.Tracer) *core.Job 
 			ShmOff:            s.ShmOff,
 			ChunkBytes:        s.ChunkBytes,
 			IOTimeout:         s.IOTimeout(),
-			Extra:             map[string]string{"attempt": strconv.Itoa(attempt)},
 		},
 		NumO: s.NumO, NumA: s.NumA, Procs: s.Procs, Slots: s.Slots,
 		Trace: tr,
-	}
-	if s.FailCPCommit > 0 && workerRank == s.KillRank && attempt == 0 {
-		// Die mid-commit: the chunk's tmp file is durable but unpublished.
-		var commits atomic.Int64
-		target := int64(s.FailCPCommit)
-		job.Conf.CheckpointCommitHook = func(task, seq int) error {
-			if commits.Add(1) == target {
-				sigkillSelf()
-			}
-			return nil
-		}
 	}
 	switch s.App {
 	case "wordcount":
@@ -230,7 +217,18 @@ func (s *JobSpec) BuildJob(workerRank, attempt int, tr *trace.Tracer) *core.Job 
 			// programming error, not a configuration one.
 			panic(fmt.Sprintf("launch: streamagg spec failed to lower: %v", err))
 		}
-		return lowered
+		job = lowered
+	}
+	if s.FailCPCommit > 0 && workerRank == s.KillRank && attempt == 0 {
+		// Die mid-commit: the chunk's tmp file is durable but unpublished.
+		var commits atomic.Int64
+		target := int64(s.FailCPCommit)
+		core.SetHooks(job, core.Hooks{CheckpointCommitHook: func(task, seq int) error {
+			if commits.Add(1) == target {
+				sigkillSelf()
+			}
+			return nil
+		}})
 	}
 	return job
 }

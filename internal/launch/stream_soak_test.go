@@ -1,8 +1,10 @@
 package launch
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -37,13 +39,58 @@ func checkWindowsEqual(t *testing.T, got, want map[string]string) {
 		if !ok {
 			t.Errorf("window %s missing", name)
 		} else if g != w {
-			t.Errorf("window %s differs from oracle (%d vs %d bytes)", name, len(g), len(w))
+			t.Errorf("window %s differs from oracle:%s", name, windowDiff(g, w))
 		}
 	}
 	for name := range got {
 		if _, ok := want[name]; !ok {
 			t.Errorf("window %s not in oracle (duplicate or spurious firing)", name)
 		}
+	}
+}
+
+// windowDiff lists, one line per key, where a published window's
+// "key<TAB>count<TAB>sum" lines differ from the oracle's.
+func windowDiff(got, want string) string {
+	parse := func(content string) map[string]string {
+		m := map[string]string{}
+		for _, line := range strings.Split(strings.TrimSuffix(content, "\n"), "\n") {
+			key, agg, _ := strings.Cut(line, "\t")
+			m[key] = agg
+		}
+		return m
+	}
+	g, w := parse(got), parse(want)
+	keys := map[string]bool{}
+	for k := range g {
+		keys[k] = true
+	}
+	for k := range w {
+		keys[k] = true
+	}
+	var lines []string
+	for k := range keys {
+		if g[k] != w[k] {
+			lines = append(lines, fmt.Sprintf("\n\tkey %q: count, sum %q, oracle %q", k, g[k], w[k]))
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "")
+}
+
+// logStreamCounters prints every stream.* counter of a run; the ones a
+// run did not report print as 0.
+func logStreamCounters(t *testing.T, rc map[string]int64) {
+	t.Helper()
+	names := []string{"stream.late.dropped"}
+	for k := range rc {
+		if strings.HasPrefix(k, "stream.") && k != "stream.late.dropped" {
+			names = append(names, k)
+		}
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		t.Logf("%s = %d", k, rc[k])
 	}
 }
 
@@ -115,6 +162,11 @@ func TestProcStreamSoakPartialRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch after mid-stream kill: %v\nworker output:\n%s", err, out.String())
 	}
+	defer func() {
+		if t.Failed() {
+			logStreamCounters(t, res.RuntimeCounters)
+		}
+	}()
 	want := readWindows(t, ospec.OutDir)
 	if len(want) == 0 {
 		t.Fatal("oracle fired no windows")
