@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -29,12 +30,14 @@ import (
 
 // cpChunk is one complete checkpoint chunk on disk. The file holds a
 // sequence of [u32 len | payload] entries (payload = partition-framed
-// record bytes) followed by a footer with the record count.
+// record bytes) followed by a footer with the record count. records and
+// frames (per partition) are filled only by a scan that counts the chunk.
 type cpChunk struct {
 	task    int
 	seq     int
 	path    string
 	records int64
+	frames  map[int]int64
 }
 
 func cpChunkName(task, seq int) string {
@@ -208,6 +211,62 @@ func listChunks(dir string) ([]cpChunk, error) {
 		}
 		return out[i].seq < out[j].seq
 	})
+	return out, nil
+}
+
+// chunkRecordCount validates a chunk's footer and returns its record count.
+func chunkRecordCount(path string) (int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	if st.Size() < 12 {
+		return 0, errors.New("core: checkpoint too small")
+	}
+	var foot [12]byte
+	if _, err := f.ReadAt(foot[:], st.Size()-12); err != nil {
+		return 0, err
+	}
+	if binary.BigEndian.Uint32(foot[0:]) != 0 {
+		return 0, errors.New("core: checkpoint footer missing")
+	}
+	return int64(binary.BigEndian.Uint64(foot[4:])), nil
+}
+
+// scanChunks lists the committed chunks in dir and reads, for those whose
+// task counted selects, the record count and (with frames) the frames per
+// partition, so a partial restart's re-run can label its frames as the
+// lost incarnation did. A counted chunk whose footer does not validate is
+// incomplete and left out.
+func scanChunks(dir string, counted func(task int) bool, frames bool) ([]cpChunk, error) {
+	chunks, err := listChunks(dir)
+	if err != nil {
+		return nil, err
+	}
+	out := chunks[:0]
+	for _, ch := range chunks {
+		if counted(ch.task) {
+			if ch.records, err = chunkRecordCount(ch.path); err != nil {
+				continue
+			}
+			if frames {
+				ch.frames = map[int]int64{}
+				if _, err := readChunk(ch.path, func(payload []byte) error {
+					partition, _, _, _, _, _, err := decodePayload(payload)
+					ch.frames[partition]++
+					return err
+				}); err != nil {
+					return nil, err
+				}
+			}
+		}
+		out = append(out, ch)
+	}
 	return out, nil
 }
 

@@ -17,7 +17,6 @@ package core
 // worker's counters and trace buffer).
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,42 +25,6 @@ import (
 	"datampi/internal/mpi"
 	"datampi/internal/trace"
 )
-
-// setupDist is setup() for a master scheduling over a caller-provided
-// distributed world: same communicator sequence, no local processes.
-func (rt *Runtime) setupDist() error {
-	j := rt.job
-	w := rt.rcfg.world
-	if w.Size() != j.Procs+1 {
-		return fmt.Errorf("core: distributed world has %d ranks, want Procs+1 = %d",
-			w.Size(), j.Procs+1)
-	}
-	if j.hooks.faulty() {
-		return errors.New("core: fault injection is in-process only; kill worker processes instead")
-	}
-	rt.distMaster = true
-	rt.world = w
-	rt.ctrs = newRuntimeCounters(j.Procs)
-	if j.Trace.Enabled() {
-		rt.nameTraceRows()
-	}
-	workerRanks := seq(j.Procs)
-	if _, err := w.NewComm(workerRanks); err != nil {
-		return err
-	}
-	ics, err := mpi.NewIntercomm(w, []int{j.Procs}, workerRanks)
-	if err != nil {
-		return err
-	}
-	rt.masterIC = ics[j.Procs]
-	rt.workerICs = ics[:j.Procs]
-	rt.assignO = fillInt(j.NumO, -1)
-	rt.assignA = fillInt(j.NumA, -1)
-	rt.res.OTaskSent = make([]int64, j.NumO)
-	rt.res.ATaskReceived = make([]int64, j.NumA)
-	rt.computeLocalityPrefs()
-	return nil
-}
 
 // RunWorker runs one spawned worker process's half of a distributed job:
 // it hosts the single DataMPI process of world rank `rank`, executes the
@@ -82,16 +45,8 @@ func RunWorker(job *Job, world *mpi.World, rank, attempt int) error {
 		return &RunError{Phase: "validate", Rank: rank,
 			Err: fmt.Errorf("core: worker rank %d out of range [0,%d)", rank, job.Procs)}
 	}
-	rt := &Runtime{
-		job:        job,
-		id:         runtimeIDs.Add(1),
-		aborted:    make(chan struct{}),
-		failRank:   -1,
-		cpSeq:      map[int]int{},
-		skipByTask: map[int]int64{},
-		distWorker: true,
-	}
-	rt.abortCtx, rt.abortCancel = context.WithCancel(context.Background())
+	rt := newRuntime(job)
+	rt.distWorker = true
 	defer rt.abortCancel()
 	rt.world = world
 	rt.ctrs = newRuntimeCounters(job.Procs)
@@ -106,7 +61,6 @@ func RunWorker(job *Job, world *mpi.World, rank, attempt int) error {
 	}
 	rt.workerICs = ics[:job.Procs]
 	rt.assignO = fillInt(job.NumO, -1)
-	rt.assignA = fillInt(job.NumA, -1)
 	p := newProcess(rt, rank, comms[rank])
 	rt.procs = []*process{p}
 	// Stamp the hosting OS process on this rank's trace row: the merged
@@ -162,9 +116,9 @@ func (rt *Runtime) byeEvent(p *process) eventMsg {
 }
 
 // absorbBye folds a distributed worker's final report into the master's
-// result: counter maps add (exact for totals), volume tallies add, and
-// the worker's trace events merge onto the master's clock so one Chrome
-// trace shows every OS process.
+// result: counters fold (see foldCounters), volume tallies add, and the
+// worker's trace events merge onto the master's clock so one Chrome trace
+// shows every OS process.
 func (rt *Runtime) absorbBye(ev eventMsg) {
 	if !rt.distMaster {
 		return
@@ -172,18 +126,23 @@ func (rt *Runtime) absorbBye(ev eventMsg) {
 	rt.sent.Add(ev.RecordsSent)
 	rt.bytesShuffled.Add(ev.BytesShuffled)
 	rt.spilledBytes.Add(ev.SpilledBytes)
-	if len(ev.RuntimeCounters) > 0 {
-		if rt.distCtrs == nil {
-			rt.distCtrs = map[string]int64{}
-		}
-		for k, v := range ev.RuntimeCounters {
-			rt.distCtrs[k] += v
-		}
-	}
+	foldCounters(rt.distCtrs, ev.RuntimeCounters)
 	if tr := rt.job.Trace; tr.Enabled() && len(ev.Trace) > 0 {
 		var evs []trace.Event
 		if err := json.Unmarshal(ev.Trace, &evs); err == nil {
 			tr.Inject(evs, ev.TraceStart-tr.StartUnixMicros())
+		}
+	}
+}
+
+// foldCounters adds src's counters into dst, except high-water marks,
+// which take the larger value: a maximum over workers is still a maximum.
+func foldCounters(dst, src map[string]int64) {
+	for k, v := range src {
+		if k == "stream.credits.max.outstanding" {
+			dst[k] = max(dst[k], v)
+		} else {
+			dst[k] += v
 		}
 	}
 }

@@ -97,6 +97,12 @@ func (j *Job) validate() error {
 	if j.Mode != Iteration && j.Rounds != 1 {
 		return fmt.Errorf("core: Rounds=%d requires Iteration mode", j.Rounds)
 	}
+	if j.Mode == Streaming && j.NumA > j.Procs*j.Slots {
+		return fmt.Errorf("core: Streaming needs NumA (%d) <= Procs*Slots (%d)", j.NumA, j.Procs*j.Slots)
+	}
+	if j.Mode == Streaming && j.Conf.DataCentricOff {
+		return errors.New("core: Streaming requires data-centric scheduling")
+	}
 	if j.HostOfProc == nil {
 		j.HostOfProc = func(p int) int { return p }
 	}

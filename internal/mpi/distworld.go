@@ -80,6 +80,7 @@ func JoinWorld(n, self int, ep *Endpoint, addrs []string, opts ...Option) (*Worl
 		tr:     tr,
 		local:  local,
 		comms:  make(map[uint32][]*Comm),
+		early:  make(map[uint32][]earlyFrame),
 		nextID: 1,
 	}
 	w.initChunking(cfg.eng)

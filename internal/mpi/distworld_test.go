@@ -124,6 +124,36 @@ func TestDistWorldCommAlignment(t *testing.T) {
 	}
 }
 
+// A process may send on a communicator before its peer has built the same
+// one (a worker still joining when the master dispatches, or a respawned
+// rank): the frame waits for the communicator instead of being dropped.
+func TestDistWorldFrameBeforeComm(t *testing.T) {
+	worlds := joinTestWorlds(t, 2)
+	sub0, err := worlds[0].NewComm([]int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sub0[0].Send(1, 5, []byte("early")); err != nil {
+		t.Fatal(err)
+	}
+	// A later frame from the same sender on the world communicator: once it
+	// is received, the early one has reached rank 1 too.
+	if err := worlds[0].Comm(0).Send(1, 6, []byte("marker")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := worlds[1].Comm(1).RecvTimeout(0, 6, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	sub1, err := worlds[1].NewComm([]int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := sub1[1].RecvTimeout(0, 5, 5*time.Second)
+	if err != nil || string(data) != "early" {
+		t.Fatalf("frame sent before the communicator existed: %q, %v", data, err)
+	}
+}
+
 // DeclareDead must wake a receiver blocked on the declared rank with
 // ErrRankDead — the launcher's failure-detection path when a worker OS
 // process exits.

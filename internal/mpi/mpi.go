@@ -71,8 +71,13 @@ type World struct {
 	procs []*proc
 	local []bool // nil = every rank is hosted in this process (NewWorld)
 
-	mu      sync.Mutex
-	comms   map[uint32][]*Comm // comm id -> per-world-rank comm
+	mu    sync.Mutex
+	comms map[uint32][]*Comm // comm id -> per-world-rank comm
+	// early holds frames that reached this process for a communicator it
+	// has not built yet: in a distributed world another process may finish
+	// its identical construction sequence and send first (a worker still
+	// joining when the master dispatches, or a respawned rank).
+	early   map[uint32][]earlyFrame
 	nextID  uint32
 	closed  bool
 	closeWG sync.WaitGroup
@@ -170,6 +175,7 @@ func NewWorld(n int, opts ...Option) (*World, error) {
 	w := &World{
 		size:   n,
 		comms:  make(map[uint32][]*Comm),
+		early:  make(map[uint32][]earlyFrame),
 		nextID: 1,
 	}
 	w.initChunking(cfg.eng)
@@ -251,7 +257,20 @@ func (w *World) makeComm(id uint32, ranks []int) []*Comm {
 		peers[worldRank] = c
 	}
 	w.comms[id] = peers
+	for _, e := range w.early[id] {
+		if c := peers[e.rank]; c != nil {
+			c.enqueue(e.f)
+		}
+	}
+	delete(w.early, id)
 	return peers
+}
+
+// earlyFrame is a frame for world rank `rank` on a communicator not yet
+// built.
+type earlyFrame struct {
+	rank int
+	f    frame
 }
 
 // NewComm creates a communicator over the given world ranks (in comm-rank
@@ -297,16 +316,17 @@ func (w *World) route(r int) {
 			f = g
 		}
 		w.mu.Lock()
-		peers := w.comms[f.comm]
+		peers, built := w.comms[f.comm]
 		var c *Comm
-		if peers != nil {
+		if built {
 			c = peers[r]
+		} else {
+			w.early[f.comm] = append(w.early[f.comm], earlyFrame{r, f})
 		}
 		w.mu.Unlock()
-		if c == nil {
-			continue // message for an unknown communicator: drop
+		if c != nil { // nil: rank r is not a member of that communicator
+			c.enqueue(f)
 		}
-		c.enqueue(f)
 	}
 }
 
