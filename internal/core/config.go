@@ -94,6 +94,10 @@ type Config struct {
 
 	// FlushInterval bounds buffering delay in Streaming mode: non-empty
 	// partition buffers are flushed at least this often. Default 5 ms.
+	// A raw Streaming job measures it on the wall clock. A StreamJob
+	// source measures it in event time, along its watermark: its buffers
+	// seal when the watermark crosses a multiple of FlushInterval or a
+	// window deadline, so its framing depends on the events alone.
 	FlushInterval time.Duration
 
 	// FaultTolerance enables the key-value library-level checkpoint
@@ -146,7 +150,10 @@ type Config struct {
 	// are replayed to cover the lost rank's data. Requires FaultTolerance;
 	// rejected in Iteration mode and with DataCentricOff. In Streaming mode
 	// the respawned rank's A tasks restart with fresh window state and the
-	// deterministic replay re-fires their windows (sinks dedup by window).
+	// deterministic replay re-fires their windows (sinks dedup by window);
+	// StreamJob sources seal frames by event time, so the replay re-frames
+	// the lost rank's records identically and survivors can drop the
+	// frames they already merged.
 	// Without it (or when recovery is not possible) rank death stays
 	// fatal, and the launcher's whole-attempt retry recovers the job.
 	PartialRestart bool

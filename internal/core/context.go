@@ -42,8 +42,11 @@ type Context struct {
 	sinceCP  int64 // records emitted since the last checkpoint round
 	sent     int64 // records sent, cumulative; runUser adds them to Runtime.sent
 	received int64
-	// lastFlush is the last time-based SPL drain (Streaming mode).
+	// lastFlush is the last time-based SPL drain (raw Streaming mode).
 	lastFlush time.Time
+	// wmSeal marks a StreamJob source: its SPL seals along its watermark
+	// (SourceContext.broadcastWatermark), never by the wall clock.
+	wmSeal bool
 
 	// A-side batch iterator (sorted/unsorted modes) or stream channel.
 	it       kv.Iterator
@@ -206,10 +209,12 @@ func (c *Context) sendRecordTo(p int, rec kv.Record) error {
 			return err
 		}
 	}
-	// Streaming mode bounds buffering delay: if data has been sitting in
-	// the SPL longer than FlushInterval, drain it now so downstream
-	// latency stays low even at low arrival rates.
-	if c.job.Mode == Streaming {
+	// Raw Streaming mode bounds buffering delay: if data has been sitting
+	// in the SPL longer than FlushInterval, drain it now so downstream
+	// latency stays low even at low arrival rates. A StreamJob source
+	// seals by event time instead, so its framing does not depend on
+	// timing.
+	if c.job.Mode == Streaming && !c.wmSeal {
 		now := time.Now()
 		if c.lastFlush.IsZero() {
 			c.lastFlush = now
@@ -376,13 +381,19 @@ func (c *Context) flushSends() error {
 // signals the end of the task's data.
 func (c *Context) RecvRecord() (kv.Record, bool, error) {
 	if c.streamCh != nil {
-		rec, ok := <-c.streamCh
-		if ok {
-			c.received++
-			c.proc.rt.ctrs.streamEventsOut.Add(1)
-			c.proc.creditConsume(c.streamPart)
+		// A failed run never closes the stream channels: watch the abort
+		// too, or the A task would wait forever and teardown with it.
+		select {
+		case rec, ok := <-c.streamCh:
+			if ok {
+				c.received++
+				c.proc.rt.ctrs.streamEventsOut.Add(1)
+				c.proc.creditConsume(c.streamPart)
+			}
+			return rec, ok, nil
+		case <-c.proc.rt.aborted:
+			return kv.Record{}, false, c.proc.rt.err()
 		}
-		return rec, ok, nil
 	}
 	if c.it == nil {
 		return kv.Record{}, false, ErrNotReceiver

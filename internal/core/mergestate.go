@@ -13,6 +13,13 @@ import (
 // framed into a block of this size and each block costs one Write.
 const spillBlock = 256 << 10
 
+// spillBlocks recycles writeMerged's write blocks across spills and
+// compactions, as framePool does send frames.
+var spillBlocks = sync.Pool{New: func() any {
+	b := make([]byte, 0, spillBlock)
+	return &b
+}}
+
 // mergeState is one (round, direction)'s Receive Partition List: the sorted
 // runs received for each partition this process owns, in memory up to the
 // configured cache size and on disk beyond it (§IV-D). It becomes
@@ -148,7 +155,14 @@ func (ms *mergeState) writeMerged(rel string, it kv.Iterator) (int64, error) {
 		return 0, err
 	}
 	var n int64
-	block := make([]byte, 0, spillBlock)
+	bp := spillBlocks.Get().(*[]byte)
+	block := (*bp)[:0]
+	defer func() {
+		if cap(block) <= maxPooledFrame { // a huge record grew it: let it go
+			*bp = block[:0]
+			spillBlocks.Put(bp)
+		}
+	}()
 	flush := func() error {
 		_, err := f.Write(block)
 		n += int64(len(block))

@@ -83,6 +83,13 @@ func (sj *StreamJob) build() (*Job, *streamControl, error) {
 	if sj.Source == nil || sj.Emit == nil {
 		return nil, nil, errors.New("core: StreamJob needs both Source and Emit")
 	}
+	if sj.Conf.Combine != nil {
+		// The prepare stage sorts a combined frame by key, which moves the
+		// watermarks (nil key) ahead of the events sent before them: the
+		// window machine would then drop those events as late.
+		return nil, nil, errors.New("core: StreamJob does not support Conf.Combine: " +
+			"combining sorts each frame by key, moving watermarks ahead of earlier events")
+	}
 	if err := sj.Window.normalize(); err != nil {
 		return nil, nil, err
 	}
@@ -108,7 +115,8 @@ func (sj *StreamJob) build() (*Job, *streamControl, error) {
 				ctl.live--
 				ctl.mu.Unlock()
 			}()
-			sc := &SourceContext{ctx: ctx, ctl: ctl, wm: math.MinInt64}
+			ctx.wmSeal = true
+			sc := &SourceContext{ctx: ctx, ctl: ctl, spec: spec, wm: math.MinInt64}
 			if err := source(sc); err != nil {
 				return err
 			}
@@ -153,9 +161,10 @@ func (sj *StreamJob) Job() (*Job, error) {
 // SourceContext is a source adapter's handle: emit events, advance the
 // watermark, observe shutdown.
 type SourceContext struct {
-	ctx *Context
-	ctl *streamControl
-	wm  int64
+	ctx  *Context
+	ctl  *streamControl
+	spec WindowSpec
+	wm   int64
 
 	venc []byte // wire-encoding scratch, reused across Emit calls
 }
@@ -203,6 +212,12 @@ func (sc *SourceContext) Emit(key, payload []byte, at time.Time) error {
 // Watermark promises that this source will emit no further event with a
 // time before t, releasing downstream windows up to it. Regressions are
 // ignored — the watermark is monotonic per source.
+//
+// The watermark is also when the source's send buffers seal: once it
+// crosses a window deadline or a multiple of Conf.FlushInterval of event
+// time, everything emitted so far is sent. Framing is thus a function of
+// the emitted sequence alone, so a replay after a restart frames its
+// records exactly like the original run.
 func (sc *SourceContext) Watermark(t time.Time) error {
 	if err := sc.pauseGate(); err != nil {
 		return err
@@ -212,11 +227,16 @@ func (sc *SourceContext) Watermark(t time.Time) error {
 
 // broadcastWatermark sends the watermark to every A partition. It rides
 // the ordinary record path (sendRecordTo), so flow control, counters,
-// checkpointing and replay treat it like any event.
+// checkpointing and replay treat it like any event. When the watermark
+// crosses a seal point it then drains the SPL, so a window that this
+// watermark releases downstream has its events on the wire. A replacement
+// skipping its checkpointed prefix still advances sc.wm here; its SPL is
+// empty while it skips, so those drains send nothing.
 func (sc *SourceContext) broadcastWatermark(wm int64) error {
 	if wm <= sc.wm {
 		return nil
 	}
+	prev := sc.wm
 	sc.wm = wm
 	sc.venc = appendStreamWatermark(sc.venc[:0], wm, sc.ctx.task)
 	rec := kv.Record{Value: sc.venc}
@@ -225,7 +245,27 @@ func (sc *SourceContext) broadcastWatermark(wm int64) error {
 			return err
 		}
 	}
+	if sealCrossed(&sc.spec, sc.ctx.job.Conf.FlushInterval, prev, wm) {
+		return sc.ctx.drainSPL()
+	}
 	return nil
+}
+
+// sealCrossed reports whether a source watermark moving from prev to wm
+// passes a seal point: a window deadline s+Size+AllowedLateness, for s a
+// multiple of Slide (the grid windowState.addEvent uses, and the
+// watermark at which the window fires), or a multiple of flush of event
+// time. The first watermark (prev = MinInt64) always seals.
+func sealCrossed(spec *WindowSpec, flush time.Duration, prev, wm int64) bool {
+	if prev == math.MinInt64 {
+		return true
+	}
+	off := satAdd(int64(spec.Size), int64(spec.AllowedLateness))
+	slide := int64(spec.Slide)
+	if floorDiv(satAdd(wm, -off), slide) > floorDiv(satAdd(prev, -off), slide) {
+		return true
+	}
+	return floorDiv(wm, int64(flush)) > floorDiv(prev, int64(flush))
 }
 
 // pauseGate parks the source while the service is drained. Before
