@@ -449,6 +449,11 @@ func (c *cpCommitter) run() {
 			n += e.records
 		}
 		err := w.seal()
+		if err == nil {
+			// Count before done releases a waiter that may end the run.
+			rt.ctrs.cpChunks.Add(1)
+			rt.ctrs.cpAsyncCommits.Add(1)
+		}
 		if b.done != nil {
 			close(b.done)
 		}
@@ -456,8 +461,6 @@ func (c *cpCommitter) run() {
 			p.fail(fmt.Errorf("core: async checkpoint commit: %w", err))
 			continue
 		}
-		rt.ctrs.cpChunks.Add(1)
-		rt.ctrs.cpAsyncCommits.Add(1)
 		p.tb.Span(tidControl, "cp.commit.async", "checkpoint", start,
 			map[string]any{"task": b.task, "records": n})
 		if fa := cfg.InjectFailAfterCPRecords; fa > 0 && rt.cpDurable.Add(n) >= fa {

@@ -244,6 +244,11 @@ func (ms *mergeState) compactRuns(partition int, rels []string, out string) {
 		// The compacted run replaces the oldest runs at the front, so the
 		// partition's run order is preserved for the unsorted chain.
 		pr.diskRuns = append([]string{out}, pr.diskRuns...)
+		// Count before the pending reference goes: once it does, the
+		// partition may finalize and Run snapshot the counters.
+		ms.p.rt.ctrs.spillCompactions.Add(1)
+		ms.p.rt.ctrs.spillCompactRuns.Add(int64(len(rels)))
+		ms.p.rt.ctrs.spillCompactBytes.Add(written)
 	}
 	ms.donePendingLocked()
 	ms.mu.Unlock()
@@ -255,9 +260,6 @@ func (ms *mergeState) compactRuns(partition int, rels []string, out string) {
 	for _, rel := range rels {
 		_ = disk.Remove(rel)
 	}
-	ms.p.rt.ctrs.spillCompactions.Add(1)
-	ms.p.rt.ctrs.spillCompactRuns.Add(int64(len(rels)))
-	ms.p.rt.ctrs.spillCompactBytes.Add(written)
 	// The backlog may still be deep (spills kept landing while we merged):
 	// chain the next compaction.
 	ms.mu.Lock()

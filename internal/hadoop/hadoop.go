@@ -36,7 +36,9 @@ type MapFunc func(key, value []byte, emit func(k, v []byte) error) error
 type ReduceFunc func(key []byte, values [][]byte, emit func(k, v []byte) error) error
 
 // RecordReader streams a split's records as key-value pairs to fn. The
-// host is the reading node (for HDFS locality accounting).
+// host is the reading node (for HDFS locality accounting). The key and
+// value may be slices of the reader's window, valid only until fn
+// returns: the map task copies what it emits (mapOutputBuffer.emit).
 type RecordReader func(fs *hdfs.FileSystem, split hdfs.Split, host int, fn func(k, v []byte) error) error
 
 // LineReader is the TextInputFormat analogue: key = nil, value = line.

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+	"slices"
+
+	"datampi/internal/diskio"
 )
 
 // Replica failover and cluster reporting: a datanode can be marked dead
@@ -30,66 +32,108 @@ func (fs *FileSystem) MarkAlive(node int) {
 	delete(fs.dead, node)
 }
 
-func (fs *FileSystem) aliveHosts(b blockMeta) []int {
-	var out []int
+// appendAliveHosts appends the hosts of b's live replicas to dst. Caller
+// holds fs.mu.
+func (fs *FileSystem) appendAliveHosts(dst []int, b blockMeta) []int {
 	for _, h := range b.hosts {
 		if !fs.dead[h] {
-			out = append(out, h)
+			dst = append(dst, h)
 		}
 	}
-	return out
+	return dst
 }
 
-// readChunks reads the checksum chunks of block b that cover the n bytes
-// at off, trying the preferred host first and failing over to the other
-// live replicas. It returns the n bytes, the host that served them and how
-// many bytes it read there.
-func (fs *FileSystem) readChunks(b blockMeta, reader int, off, n int64) (data []byte, src int, read int64, err error) {
-	fs.mu.Lock()
-	hosts := fs.aliveHosts(b)
-	fs.mu.Unlock()
-	if len(hosts) == 0 {
-		return nil, -1, 0, fmt.Errorf("hdfs: block %d has no live replica", b.id)
+// blockReader reads one block window by window for one reader. It keeps
+// the serving replica's file open across windows, verifies every chunk it
+// reads, and fails over per window: a window that meets a corrupt chunk,
+// a failed read or a dead host is read again, whole, from the next live
+// replica, the reader's own first. Remote bytes are charged to the link as
+// one message when the reader closes, as one block read.
+type blockReader struct {
+	fs     *FileSystem
+	b      blockMeta
+	reader int
+	hosts  []int        // scratch: the live replicas for one window
+	host   int          // the replica f is open on, or -1
+	f      *diskio.File // nil when no replica is open
+	remote int64        // bytes served by a replica not on reader
+}
+
+func (fs *FileSystem) openBlock(b blockMeta, reader int) *blockReader {
+	return &blockReader{fs: fs, b: b, reader: reader, host: -1}
+}
+
+// read fills buf with bytes [lo, lo+len(buf)) of the block. lo is on a
+// chunk boundary, and the end is on one or at the block's end.
+func (br *blockReader) read(buf []byte, lo int64) error {
+	if len(buf) == 0 {
+		return nil
 	}
-	// Preferred (local) replica first.
-	sort.SliceStable(hosts, func(i, j int) bool { return hosts[i] == reader && hosts[j] != reader })
-	lo := off / bytesPerChecksum * bytesPerChecksum
-	hi := min((off+n+bytesPerChecksum-1)/bytesPerChecksum*bytesPerChecksum, b.length)
-	var lastErr error
+	fs := br.fs
+	fs.mu.Lock()
+	hosts := fs.appendAliveHosts(br.hosts[:0], br.b)
+	br.hosts = hosts
+	fs.mu.Unlock()
+	// The reader's own replica first.
+	if i := slices.Index(hosts, br.reader); i > 0 {
+		copy(hosts[1:i+1], hosts[:i])
+		hosts[0] = br.reader
+	}
+	lastErr := fmt.Errorf("hdfs: block %d has no live replica", br.b.id)
 	for _, h := range hosts {
-		buf, err := fs.readReplica(b, h, lo, hi)
-		if err != nil {
-			lastErr = err
+		if err := br.readFrom(h, buf, lo); err != nil {
+			br.closeFile()
+			lastErr = fmt.Errorf("hdfs: all replicas of block %d failed: %w", br.b.id, err)
 			continue
 		}
-		return buf[off-lo : off-lo+n], h, hi - lo, nil
+		if h != br.reader {
+			br.remote += int64(len(buf))
+		}
+		return nil
 	}
-	return nil, -1, 0, fmt.Errorf("hdfs: all replicas of block %d failed: %w", b.id, lastErr)
+	br.closeFile()
+	return lastErr
 }
 
-// readReplica reads bytes [lo, hi) of block b's replica on host h (lo on a
-// chunk boundary, hi on one or at the block's end) and verifies each chunk
-// checksum, as the DFS client does; a corrupt replica is an error, so the
-// caller fails over to the next one.
-func (fs *FileSystem) readReplica(b blockMeta, h int, lo, hi int64) ([]byte, error) {
-	f, err := fs.nodes[h].Open(blockFile(b.id))
-	if err != nil {
-		return nil, err
+// readFrom reads the window from the replica on host h and verifies each
+// of its chunk checksums, as the DFS client does.
+func (br *blockReader) readFrom(h int, buf []byte, lo int64) error {
+	if br.host != h {
+		br.closeFile()
+		f, err := br.fs.nodes[h].Open(blockFile(br.b.id))
+		if err != nil {
+			return err
+		}
+		br.f, br.host = f, h
 	}
-	buf := make([]byte, hi-lo)
-	_, err = f.ReadAt(buf, lo)
-	f.Close()
-	if err != nil {
-		return nil, err
+	if _, err := br.f.ReadAt(buf, lo); err != nil {
+		return err
 	}
-	c := int(lo / bytesPerChecksum)
-	for i := 0; i < len(buf); i, c = i+bytesPerChecksum, c+1 {
-		if crc := crc32.ChecksumIEEE(buf[i:min(i+bytesPerChecksum, len(buf))]); crc != b.crcs[c] {
-			return nil, fmt.Errorf("hdfs: block %d replica on node %d corrupt in chunk %d (crc %08x != %08x)",
-				b.id, h, c, crc, b.crcs[c])
+	c := int(lo / int64(chunk))
+	for i := 0; i < len(buf); i, c = i+chunk, c+1 {
+		if crc := crc32.ChecksumIEEE(buf[i:min(i+chunk, len(buf))]); crc != br.b.crcs[c] {
+			return fmt.Errorf("hdfs: block %d replica on node %d corrupt in chunk %d (crc %08x != %08x)",
+				br.b.id, h, c, crc, br.b.crcs[c])
 		}
 	}
-	return buf, nil
+	return nil
+}
+
+func (br *blockReader) closeFile() {
+	if br.f != nil {
+		br.f.Close()
+		br.f, br.host = nil, -1
+	}
+}
+
+// close releases the open replica and charges the link for the remote
+// bytes read.
+func (br *blockReader) close() {
+	br.closeFile()
+	if br.remote > 0 && br.fs.cfg.Link != nil {
+		br.fs.cfg.Link.Transfer(br.remote, 64, 1)
+	}
+	br.remote = 0
 }
 
 // CorruptReplica flips a byte of one replica on disk (test/chaos helper:
@@ -136,7 +180,7 @@ func (fs *FileSystem) MissingBlocks() map[string]int {
 	out := map[string]int{}
 	for path, fm := range fs.files {
 		for _, b := range fm.blocks {
-			if len(fs.aliveHosts(b)) == 0 {
+			if len(fs.appendAliveHosts(nil, b)) == 0 {
 				out[path]++
 			}
 		}

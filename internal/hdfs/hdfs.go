@@ -11,6 +11,15 @@
 // each chunk it covers and fails over to the next replica on a mismatch,
 // so a read of a few bytes (the tail of a record or line that crosses
 // into the next block) fetches and checks one chunk, not the block.
+//
+// As in HDFS, blocks move in 256 KiB packets, and neither the write path
+// nor the split readers stage a whole block. The Writer stages one packet
+// and writes it to every replica as it fills; a block becomes visible
+// when its last packet is written. ReadRecordsInSplit and
+// ReadLinesInSplit read a split through one reused packet-sized window,
+// failing over window by window, and hand fn a slice of that window that
+// is valid only until fn returns. ReadBlock, ReadAll and FileReader still
+// read whole blocks.
 package hdfs
 
 import (
@@ -42,8 +51,21 @@ type Config struct {
 // DefaultConfig mirrors a small test deployment: 4 MB blocks, 2 replicas.
 func DefaultConfig() Config { return Config{BlockSize: 4 << 20, Replication: 2} }
 
-// bytesPerChecksum is the span one block checksum covers.
-const bytesPerChecksum = 64 << 10
+const (
+	// bytesPerChecksum is the span one block checksum covers
+	// (dfs.bytes-per-checksum).
+	bytesPerChecksum = 64 << 10
+	// packetSize is the unit a block moves in: the Writer stages and
+	// writes one packet at a time, and a split reader reads one
+	// packet-sized window at a time.
+	packetSize = 4 * bytesPerChecksum
+)
+
+// chunk and packet are the checksum span and the packet size the code
+// uses: bytesPerChecksum and packetSize, except that FuzzSplitReaders
+// shrinks them to reach chunk, window and block edges with small inputs.
+// packet is a multiple of chunk.
+var chunk, packet = bytesPerChecksum, packetSize
 
 type blockMeta struct {
 	id     int64
@@ -52,11 +74,11 @@ type blockMeta struct {
 	hosts  []int    // datanode indices holding a replica
 }
 
-// chunkCRCs checksums data chunk by chunk.
-func chunkCRCs(data []byte) []uint32 {
-	crcs := make([]uint32, 0, (len(data)+bytesPerChecksum-1)/bytesPerChecksum)
-	for off := 0; off < len(data); off += bytesPerChecksum {
-		crcs = append(crcs, crc32.ChecksumIEEE(data[off:min(off+bytesPerChecksum, len(data))]))
+// appendChunkCRCs appends the checksum of each chunk of data, which starts
+// on a chunk boundary of its block.
+func appendChunkCRCs(crcs []uint32, data []byte) []uint32 {
+	for off := 0; off < len(data); off += chunk {
+		crcs = append(crcs, crc32.ChecksumIEEE(data[off:min(off+chunk, len(data))]))
 	}
 	return crcs
 }
@@ -192,25 +214,35 @@ func (fs *FileSystem) pickHosts(preferred int) []int {
 	return hosts
 }
 
-// Writer writes a file block by block.
+// Writer writes a file as a stream of packets, as the HDFS client's
+// DataStreamer does. It stages at most one packet: a block's replica files
+// are opened at its first packet, each full packet is checksummed and
+// written to every replica, and the block's metadata is published only
+// after its last packet, so a reader never sees a partial block. A write
+// that covers a whole packet sends it without copying it.
 //
-// It stages the current partial block in one buffer that grows toward
-// BlockSize in 8× steps (so a tiny file never allocates a whole block, and
-// filling a block allocates ~1.14 blocks in total) and is reused from
-// length 0 after every flushBlock. flushBlock is synchronous — the replica
-// writes and the CRC are done when it returns — so reuse never races a
-// reader of the old contents.
+// Any failure removes the replica files of the block being written and
+// poisons the Writer. A Writer that is neither closed nor failed holds its
+// block's replica files open.
 type Writer struct {
 	fs        *FileSystem
 	path      string
 	preferred int
-	buf       []byte
+	buf       []byte // the staged part of the next packet
 	closed    bool
 	err       error
+
+	// The block being written; files is nil between blocks.
+	blkID  int64
+	hosts  []int
+	files  []*diskio.File
+	blkLen int64
+	crcs   []uint32
 }
 
-// minBlockBuf is the smallest staging buffer a Writer allocates.
-const minBlockBuf = 4 << 10
+// minStageBuf is the staging buffer a Writer starts with, so that a tiny
+// file does not allocate a whole packet.
+const minStageBuf = 4 << 10
 
 // Write implements io.Writer.
 func (w *Writer) Write(p []byte) (int, error) {
@@ -221,75 +253,122 @@ func (w *Writer) Write(p []byte) (int, error) {
 		return 0, errors.New("hdfs: write after close")
 	}
 	n := len(p)
-	bs := int(w.fs.cfg.BlockSize)
 	for len(p) > 0 {
-		c := min(bs-len(w.buf), len(p))
-		w.grow(len(w.buf)+c, bs)
-		w.buf = append(w.buf, p[:c]...)
-		p = p[c:]
-		if len(w.buf) < bs {
+		// The next packet is a whole one, or what is left of the block.
+		pkt := int(min(int64(packet), w.fs.cfg.BlockSize-w.blkLen))
+		if len(w.buf)+len(p) < pkt {
+			w.stage(p)
 			break
 		}
-		if err := w.flushBlock(w.buf); err != nil {
-			w.err = err
+		c := pkt - len(w.buf)
+		data := p[:c]
+		if len(w.buf) > 0 {
+			w.stage(data)
+			data = w.buf
+		}
+		if err := w.sendPacket(data); err != nil {
 			return 0, err
 		}
 		w.buf = w.buf[:0]
+		p = p[c:]
 	}
 	return n, nil
 }
 
-// grow makes the staging buffer hold need bytes (need <= bs). Capacities
-// are bs/8^j, the smallest such at least need (and at least minBlockBuf),
-// so the last step lands on exactly bs.
-func (w *Writer) grow(need, bs int) {
-	if need <= cap(w.buf) {
-		return
+// stage appends p to the staging buffer. The buffer starts at minStageBuf
+// and then holds one packet (or one block, if that is smaller); it never
+// grows past that.
+func (w *Writer) stage(p []byte) {
+	if need := len(w.buf) + len(p); need > cap(w.buf) {
+		c := int(min(int64(packet), w.fs.cfg.BlockSize))
+		if need <= minStageBuf {
+			c = min(c, minStageBuf)
+		}
+		w.buf = append(make([]byte, 0, c), w.buf...)
 	}
-	c := bs
-	for c/8 >= need && c/8 >= minBlockBuf {
-		c /= 8
-	}
-	nb := make([]byte, len(w.buf), c)
-	copy(nb, w.buf)
-	w.buf = nb
+	w.buf = append(w.buf, p...)
 }
 
-func (w *Writer) flushBlock(data []byte) error {
-	fs := w.fs
-	fs.mu.Lock()
-	id := fs.nextBlk
-	fs.nextBlk++
-	hosts := fs.pickHosts(w.preferred)
-	fs.mu.Unlock()
-	for _, h := range hosts {
-		f, err := fs.nodes[h].Create(blockFile(id))
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(data); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
+// sendPacket checksums one packet and writes it to every replica of the
+// current block, opening the block first if data is its first packet, and
+// publishes the block once it is full. Every packet but a block's last is
+// whole, so packets start on checksum-chunk boundaries.
+func (w *Writer) sendPacket(data []byte) error {
+	if w.files == nil {
+		if err := w.openBlock(); err != nil {
+			return w.abort(err)
 		}
 	}
-	crcs := chunkCRCs(data)
-	fs.mu.Lock()
-	fm := fs.files[w.path]
-	fm.blocks = append(fm.blocks, blockMeta{
-		id:     id,
-		length: int64(len(data)),
-		crcs:   crcs,
-		hosts:  hosts,
-	})
-	fm.size += int64(len(data))
-	fs.mu.Unlock()
+	w.crcs = appendChunkCRCs(w.crcs, data)
+	for _, f := range w.files {
+		if _, err := f.Write(data); err != nil {
+			return w.abort(err)
+		}
+	}
+	w.blkLen += int64(len(data))
+	if w.blkLen == w.fs.cfg.BlockSize {
+		return w.finishBlock()
+	}
 	return nil
 }
 
-// Close flushes the final partial block and seals the file.
+// openBlock allocates the next block and creates its replica files.
+func (w *Writer) openBlock() error {
+	fs := w.fs
+	fs.mu.Lock()
+	w.blkID = fs.nextBlk
+	fs.nextBlk++
+	w.hosts = fs.pickHosts(w.preferred)
+	fs.mu.Unlock()
+	w.files = make([]*diskio.File, 0, len(w.hosts))
+	for _, h := range w.hosts {
+		f, err := fs.nodes[h].Create(blockFile(w.blkID))
+		if err != nil {
+			return err
+		}
+		w.files = append(w.files, f)
+	}
+	return nil
+}
+
+// finishBlock closes the block's replica files and publishes the block.
+func (w *Writer) finishBlock() error {
+	for _, f := range w.files {
+		if err := f.Close(); err != nil {
+			return w.abort(err)
+		}
+	}
+	fs := w.fs
+	fs.mu.Lock()
+	fm := fs.files[w.path]
+	if fm != nil {
+		fm.blocks = append(fm.blocks, blockMeta{id: w.blkID, length: w.blkLen, crcs: w.crcs, hosts: w.hosts})
+		fm.size += w.blkLen
+	}
+	fs.mu.Unlock()
+	if fm == nil {
+		return w.abort(fmt.Errorf("hdfs: %s deleted while being written: %w", w.path, ErrNotFound))
+	}
+	w.files, w.crcs, w.blkLen = nil, nil, 0
+	return nil
+}
+
+// abort closes and removes the replica files of the block being written,
+// and makes err the Writer's sticky error.
+func (w *Writer) abort(err error) error {
+	for _, f := range w.files {
+		f.Close() // a second Close of a file finishBlock closed only errs
+	}
+	for _, h := range w.hosts {
+		_ = w.fs.nodes[h].Remove(blockFile(w.blkID))
+	}
+	w.files, w.crcs, w.buf = nil, nil, nil
+	w.err = err
+	return err
+}
+
+// Close sends the final partial packet, publishes the last block and seals
+// the file.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
@@ -299,8 +378,12 @@ func (w *Writer) Close() error {
 		return w.err
 	}
 	if len(w.buf) > 0 {
-		if err := w.flushBlock(w.buf); err != nil {
-			w.err = err
+		if err := w.sendPacket(w.buf); err != nil {
+			return err
+		}
+	}
+	if w.files != nil {
+		if err := w.finishBlock(); err != nil {
 			return err
 		}
 	}
@@ -350,34 +433,43 @@ func (fs *FileSystem) ReadBlock(path string, idx int, reader int) ([]byte, bool,
 // up to the block's end). It reads and verifies only the checksum chunks
 // that cover the range, and a remote read charges the link for those.
 func (fs *FileSystem) readRange(path string, idx, reader int, off, n int64) ([]byte, bool, error) {
-	fs.mu.Lock()
-	fm, ok := fs.files[path]
-	if !ok {
-		fs.mu.Unlock()
-		return nil, false, ErrNotFound
+	blocks, err := fs.blocks(path)
+	if err != nil {
+		return nil, false, err
 	}
-	if idx < 0 || idx >= len(fm.blocks) {
-		fs.mu.Unlock()
-		return nil, false, fmt.Errorf("hdfs: block %d of %d", idx, len(fm.blocks))
+	if idx < 0 || idx >= len(blocks) {
+		return nil, false, fmt.Errorf("hdfs: block %d of %d", idx, len(blocks))
 	}
-	b := fm.blocks[idx]
-	fs.mu.Unlock()
+	b := blocks[idx]
 	if n < 0 {
 		n = b.length - off
 	}
 	if off < 0 || n < 0 || off+n > b.length {
 		return nil, false, fmt.Errorf("hdfs: range [%d,%d) of block %d, length %d", off, off+n, idx, b.length)
 	}
-
-	data, src, read, err := fs.readChunks(b, reader, off, n)
+	lo := off / int64(chunk) * int64(chunk)
+	hi := min((off+n+int64(chunk)-1)/int64(chunk)*int64(chunk), b.length)
+	buf := make([]byte, hi-lo)
+	br := fs.openBlock(b, reader)
+	err = br.read(buf, lo)
+	local := br.remote == 0
+	br.close()
 	if err != nil {
 		return nil, false, err
 	}
-	local := src == reader
-	if !local && fs.cfg.Link != nil {
-		fs.cfg.Link.Transfer(read, 64, 1)
+	return buf[off-lo : off-lo+n], local, nil
+}
+
+// blocks returns the blocks of path. The slice is the namenode's own; its
+// elements never change, so it needs no copy.
+func (fs *FileSystem) blocks(path string) ([]blockMeta, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fm, ok := fs.files[path]
+	if !ok {
+		return nil, ErrNotFound
 	}
-	return data, local, nil
+	return fm.blocks, nil
 }
 
 // Open returns a sequential reader over the whole file, reading each block

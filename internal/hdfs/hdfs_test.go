@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -390,27 +391,54 @@ func TestWriterChunkingInvariant(t *testing.T) {
 	}
 }
 
-// TestWriterErrorsSticky: a failed block flush poisons the writer, and a
-// closed writer refuses writes.
+// blockFilesLeft lists the block replica files on every datanode.
+func blockFilesLeft(fs *FileSystem) []string {
+	var left []string
+	for i, d := range fs.nodes {
+		names, _ := d.List("hdfs") // a datanode whose block directory is broken holds none
+		for _, name := range names {
+			left = append(left, fmt.Sprintf("node %d: %s", i, name))
+		}
+	}
+	return left
+}
+
+// TestWriterErrorsSticky: a failed block write poisons the writer and
+// leaves no replica file behind, and a closed writer refuses writes.
 func TestWriterErrorsSticky(t *testing.T) {
-	fs := newFS(t, 1, Config{BlockSize: 10, Replication: 1})
-	w, err := fs.Create("/f", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A plain file where the block directory belongs makes every block
-	// create fail.
-	if err := os.WriteFile(fs.nodes[0].Path("hdfs"), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write(make([]byte, 25)); err == nil {
-		t.Fatal("block flush onto a broken datanode succeeded")
-	}
-	if _, err := w.Write([]byte("x")); err == nil {
-		t.Error("write after a failed flush succeeded")
-	}
-	if err := w.Close(); err == nil {
-		t.Error("Close after a failed flush succeeded")
+	for _, tc := range []struct {
+		name   string
+		nodes  int
+		broken int // the datanode whose block directory is a plain file
+	}{
+		{"only-replica", 1, 0},
+		{"second-replica", 2, 1}, // the first replica is created, then the second fails
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := newFS(t, tc.nodes, Config{BlockSize: 10, Replication: tc.nodes})
+			w, err := fs.Create("/f", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(fs.nodes[tc.broken].Path("hdfs"), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Write(make([]byte, 25)); err == nil {
+				t.Fatal("block write onto a broken datanode succeeded")
+			}
+			if left := blockFilesLeft(fs); len(left) > 0 {
+				t.Errorf("a failed block write left replica files: %v", left)
+			}
+			if _, err := w.Write([]byte("x")); err == nil {
+				t.Error("write after a failed block write succeeded")
+			}
+			if err := w.Close(); err == nil {
+				t.Error("Close after a failed block write succeeded")
+			}
+			if locs, _ := fs.Locations("/f"); len(locs) != 0 {
+				t.Errorf("a failed block was published: %v", locs)
+			}
+		})
 	}
 
 	fs2 := newFS(t, 1, Config{BlockSize: 10, Replication: 1})
@@ -421,12 +449,28 @@ func TestWriterErrorsSticky(t *testing.T) {
 	if _, err := w2.Write([]byte("late")); err == nil {
 		t.Error("write after Close succeeded")
 	}
+
+	// A file deleted while its last block is in flight: the block is
+	// neither published nor left on disk.
+	w3, _ := fs2.Create("/h", 0)
+	if _, err := w3.Write([]byte("partial")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs2.Delete("/h"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w3.Close(); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Close of a deleted file: %v, want ErrNotFound", err)
+	}
+	if left := blockFilesLeft(fs2); len(left) > 0 {
+		t.Errorf("a block of a deleted file was left: %v", left)
+	}
 }
 
-// TestWriterAllocatesAboutOneBlock: writing three blocks in 100-byte
-// writes reuses one staging buffer that grew once — about 1.14 blocks in
-// total, not a regrown copy per block.
-func TestWriterAllocatesAboutOneBlock(t *testing.T) {
+// TestWriterAllocatesAboutOnePacket: writing three blocks in 100-byte
+// writes stages them through one packet-sized buffer — about 1.25
+// packets allocated in total, nothing that grows with the block.
+func TestWriterAllocatesAboutOnePacket(t *testing.T) {
 	const bs = 4 << 20
 	fs := newFS(t, 1, Config{BlockSize: bs, Replication: 1})
 	chunk := make([]byte, 100)
@@ -442,13 +486,16 @@ func TestWriterAllocatesAboutOneBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if c := cap(w.buf); c > packetSize {
+		t.Errorf("staging buffer of %d bytes, more than one packet", c)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(bs)*5/4; got > limit {
-		t.Errorf("3 blocks in 100 B writes allocated %d bytes (%.2f blocks), want <= %d",
-			got, float64(got)/bs, limit)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(packetSize)*5/4; got > limit {
+		t.Errorf("3 blocks in 100 B writes allocated %d bytes (%.2f packets), want <= %d",
+			got, float64(got)/packetSize, limit)
 	}
 }
 

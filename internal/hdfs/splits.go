@@ -41,78 +41,115 @@ func SplitsForRank(splits []Split, rank, size int) []Split {
 	return out
 }
 
-// blockStream reads a file sequentially from the start of one block:
-// that block whole, then one checksum chunk at a time, so a split whose
-// last line runs past its block reads the following blocks only as far as
-// that line reaches.
-type blockStream struct {
+// splitStream reads a file forward from an offset in a split's block,
+// through one window buffer that it reuses: the split's own block in
+// packet-sized windows, and any later block only as far as the caller
+// asks — the tail of the split's last record or line. Windows start on
+// chunk boundaries, so each one is verified chunk by chunk and fails over
+// on its own (see blockReader).
+type splitStream struct {
 	fs     *FileSystem
-	path   string
 	reader int
-	locs   []BlockLocation
-	start  int   // the block read whole
+	blocks []blockMeta
+	start  int   // the split's block
 	idx    int   // block being read
 	off    int64 // next offset to read in block idx
-	cur    []byte
+	br     *blockReader
+	win    []byte
+	cur    []byte // the unread part of the last window
+	line   []byte // scratch for a line that straddles windows
 }
 
-func newBlockStream(fs *FileSystem, path string, startBlock, reader int) (*blockStream, error) {
-	locs, err := fs.Locations(path)
+func (fs *FileSystem) newSplitStream(s Split, off int64, reader int) (*splitStream, error) {
+	blocks, err := fs.blocks(s.Path)
 	if err != nil {
 		return nil, err
 	}
-	return &blockStream{fs: fs, path: path, reader: reader, locs: locs, start: startBlock, idx: startBlock}, nil
+	if s.Block.Index < 0 || s.Block.Index >= len(blocks) {
+		return nil, fmt.Errorf("hdfs: block %d of %d", s.Block.Index, len(blocks))
+	}
+	return &splitStream{
+		fs: fs, reader: reader, blocks: blocks,
+		start: s.Block.Index, idx: s.Block.Index, off: off,
+		win: make([]byte, min(int64(packet), fs.cfg.BlockSize)),
+	}, nil
 }
 
-// fill loads the next block or chunk; returns io.EOF at the end of the
-// file.
-func (b *blockStream) fill() error {
-	if b.idx < len(b.locs) && b.off == b.locs[b.idx].Length {
-		b.idx, b.off = b.idx+1, 0
+// fill reads the next window into cur; returns io.EOF at the end of the
+// file. Past the split's block it reads only the chunks that hold the next
+// want bytes.
+func (st *splitStream) fill(want int) error {
+	for st.idx < len(st.blocks) && st.off == st.blocks[st.idx].length {
+		st.closeBlock()
+		st.idx, st.off = st.idx+1, 0
 	}
-	if b.idx >= len(b.locs) {
+	if st.idx >= len(st.blocks) {
 		return io.EOF
 	}
-	n := b.locs[b.idx].Length - b.off
-	if b.idx > b.start {
-		n = min(n, bytesPerChecksum)
+	b := st.blocks[st.idx]
+	if st.br == nil {
+		st.br = st.fs.openBlock(b, st.reader)
 	}
-	data, _, err := b.fs.readRange(b.path, b.idx, b.reader, b.off, n)
-	if err != nil {
+	lo := st.off / int64(chunk) * int64(chunk)
+	n := int64(len(st.win))
+	if st.idx > st.start {
+		n = min(n, (st.off-lo+int64(want)+int64(chunk)-1)/int64(chunk)*int64(chunk))
+	}
+	hi := min(lo+n, b.length)
+	if err := st.br.read(st.win[:hi-lo], lo); err != nil {
 		return err
 	}
-	b.off += n
-	b.cur = data
+	st.cur = st.win[st.off-lo : hi-lo]
+	st.off = hi
 	return nil
+}
+
+func (st *splitStream) closeBlock() {
+	if st.br != nil {
+		st.br.close()
+		st.br = nil
+	}
 }
 
 // readLine returns the next line (without its newline) and the number of
 // bytes consumed (including the newline, if present). io.EOF means the
-// stream is exhausted with no pending bytes.
-func (b *blockStream) readLine() ([]byte, int64, error) {
-	var line []byte
+// stream is exhausted with no pending bytes. The line is a slice of the
+// window, or of the scratch buffer if it straddles windows; it is valid
+// until the next call. With keep false the line is only skipped.
+func (st *splitStream) readLine(keep bool) ([]byte, int64, error) {
+	st.line = st.line[:0]
 	var consumed int64
 	for {
-		if len(b.cur) == 0 {
-			if err := b.fill(); err == io.EOF {
+		if len(st.cur) == 0 {
+			if err := st.fill(chunk); err == io.EOF {
 				if consumed == 0 {
 					return nil, 0, io.EOF
 				}
-				return line, consumed, nil
+				return st.line, consumed, nil
 			} else if err != nil {
 				return nil, 0, err
 			}
 			continue
 		}
-		if nl := bytes.IndexByte(b.cur, '\n'); nl >= 0 {
-			line = append(line, b.cur[:nl]...)
-			consumed += int64(nl + 1)
-			b.cur = b.cur[nl+1:]
-			return line, consumed, nil
+		nl := bytes.IndexByte(st.cur, '\n')
+		if nl >= 0 && consumed == 0 {
+			line := st.cur[:nl]
+			st.cur = st.cur[nl+1:]
+			return line, int64(nl + 1), nil
 		}
-		line = append(line, b.cur...)
-		consumed += int64(len(b.cur))
-		b.cur = nil
+		part := st.cur
+		if nl >= 0 {
+			part = st.cur[:nl]
+		}
+		if keep {
+			st.line = append(st.line, part...)
+		}
+		consumed += int64(len(part))
+		st.cur = st.cur[len(part):]
+		if nl >= 0 {
+			st.cur = st.cur[1:]
+			return st.line, consumed + 1, nil
+		}
 	}
 }
 
@@ -124,15 +161,20 @@ func (b *blockStream) readLine() ([]byte, int64, error) {
 // at) the split boundary belongs to this split and is read on into the
 // following blocks as needed. Every line in the file is delivered to
 // exactly one split.
+//
+// The split is read through one reused window of about 256 KiB. The line
+// passed to fn is valid only until fn returns, as with bufio.Scanner: fn
+// must copy what it keeps.
 func (fs *FileSystem) ReadLinesInSplit(s Split, reader int, fn func(line []byte) error) error {
-	st, err := newBlockStream(fs, s.Path, s.Block.Index, reader)
+	st, err := fs.newSplitStream(s, 0, reader)
 	if err != nil {
 		return err
 	}
+	defer st.closeBlock()
 	pos := s.Block.Offset
 	end := s.Block.Offset + s.Block.Length
 	if pos > 0 {
-		_, n, err := st.readLine()
+		_, n, err := st.readLine(false)
 		if err == io.EOF {
 			return nil
 		}
@@ -142,7 +184,7 @@ func (fs *FileSystem) ReadLinesInSplit(s Split, reader int, fn func(line []byte)
 		pos += n
 	}
 	for pos <= end {
-		line, n, err := st.readLine()
+		line, n, err := st.readLine(true)
 		if err == io.EOF {
 			return nil
 		}
@@ -161,48 +203,63 @@ func (fs *FileSystem) ReadLinesInSplit(s Split, reader int, fn func(line []byte)
 // rows) in a split. Records are assumed globally aligned to recSize from
 // file offset 0; the records belonging to the split are those whose first
 // byte lies within it.
+//
+// The split is read through one reused window of about 256 KiB. The record
+// passed to fn is valid only until fn returns, as with bufio.Scanner: fn
+// must copy what it keeps.
 func (fs *FileSystem) ReadRecordsInSplit(s Split, recSize int, reader int, fn func(rec []byte) error) error {
 	if recSize <= 0 {
 		return fmt.Errorf("hdfs: record size %d", recSize)
-	}
-	data, _, err := fs.ReadBlock(s.Path, s.Block.Index, reader)
-	if err != nil {
-		return err
 	}
 	// First record starting at or after the split's offset.
 	start := int64(0)
 	if rem := s.Block.Offset % int64(recSize); rem != 0 {
 		start = int64(recSize) - rem
 	}
-	pos := int(start)
-	for pos+recSize <= len(data) {
-		if err := fn(data[pos : pos+recSize]); err != nil {
-			return err
-		}
-		pos += recSize
-	}
-	if pos >= len(data) {
+	if start >= s.Block.Length {
 		return nil
 	}
-	// The record crosses into the following blocks: read just its tail.
-	rec := append([]byte(nil), data[pos:]...)
-	locs, err := fs.Locations(s.Path)
+	st, err := fs.newSplitStream(s, start, reader)
 	if err != nil {
 		return err
 	}
-	for next := s.Block.Index + 1; next < len(locs) && len(rec) < recSize; next++ {
-		need := min(int64(recSize-len(rec)), locs[next].Length)
-		nd, _, err := fs.readRange(s.Path, next, reader, 0, need)
-		if err != nil {
+	defer st.closeBlock()
+	var rec []byte // scratch for a record that straddles windows
+	for n := (s.Block.Length - start + int64(recSize) - 1) / int64(recSize); n > 0; n-- {
+		if len(st.cur) == 0 {
+			if err := st.fill(recSize); err != nil {
+				return unexpectedEOF(err)
+			}
+		}
+		if len(st.cur) >= recSize {
+			if err := fn(st.cur[:recSize]); err != nil {
+				return err
+			}
+			st.cur = st.cur[recSize:]
+			continue
+		}
+		// The record straddles the window's end: assemble it.
+		rec = append(rec[:0], st.cur...)
+		for len(rec) < recSize {
+			if err := st.fill(recSize - len(rec)); err != nil {
+				return unexpectedEOF(err)
+			}
+			c := min(recSize-len(rec), len(st.cur))
+			rec = append(rec, st.cur[:c]...)
+			st.cur = st.cur[c:]
+		}
+		if err := fn(rec); err != nil {
 			return err
 		}
-		rec = append(rec, nd...)
-	}
-	if len(rec) == recSize {
-		return fn(rec)
-	}
-	if len(rec) > 0 && len(rec) < recSize {
-		return io.ErrUnexpectedEOF
 	}
 	return nil
+}
+
+// unexpectedEOF reports the end of the file inside a record as
+// io.ErrUnexpectedEOF.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
