@@ -13,19 +13,24 @@ import (
 // one append buffer per destination partition. When a partition buffer
 // crosses the SPL threshold it is sealed and handed to the process's
 // communication thread, which sorts (if the mode requires), combines, and
-// transmits it. On the receive side, sealed buffers accumulate in a
+// transmits it. A job that combines in raw-byte order keeps a
+// kv.CombineTable per partition instead, grouping records as they are
+// emitted; it seals at the same points, and the pool turns it into the
+// same frame bytes. On the receive side, sealed buffers accumulate in a
 // Receive Partition List (RPL) per partition; when the merge queue grows
 // past the memory-cache threshold, runs are merged and spilled to disk.
 
 // sendItem is one sealed SPL buffer travelling to the communication thread.
-// data is always a framed buffer: frameHeaderLen reserved header bytes
-// followed by the record bytes, so transmit needs only an in-place header
-// write — no copy.
+// data is a framed buffer: frameHeaderLen reserved header bytes followed
+// by the record bytes, so transmit needs only an in-place header write —
+// no copy. A sealed combine table travels as table instead, data nil,
+// until the prepare stage turns it into a frame.
 type sendItem struct {
 	task      int
 	partition int
 	reverse   bool // Iteration mode A->O traffic
 	data      []byte
+	table     *kv.CombineTable
 	records   int64
 	// idx is the per-(task, partition) frame sequence number assigned when
 	// the SPL sealed this buffer. It travels in the wire header and the
@@ -114,11 +119,34 @@ func putFrame(b []byte) {
 	framePool.Put(bp)
 }
 
-// frameWithRecords builds a framed buffer around pre-encoded record bytes
-// (checkpoint reloads, end markers).
-func frameWithRecords(records []byte) []byte {
-	f := getFrame()
-	return append(f, records...)
+// tableFree recycles combine tables around the same path as framePool.
+// It is a bounded free list, not a sync.Pool: a pool empties at every GC,
+// and a table regrown from empty allocates its arenas, chains and slots
+// again at every seal. 64 covers a job's open tables (one per task and
+// partition) and the sealed ones in flight.
+var tableFree = make(chan *kv.CombineTable, 64)
+
+func getTable() *kv.CombineTable {
+	select {
+	case t := <-tableFree:
+		return t
+	default:
+		return new(kv.CombineTable)
+	}
+}
+
+// putTable recycles a table once its records are combined. Like
+// maxPooledFrame for frames, a table that one outsized record grew is
+// dropped.
+func putTable(t *kv.CombineTable) {
+	if t.Size() > maxPooledFrame {
+		return
+	}
+	t.Reset()
+	select {
+	case tableFree <- t:
+	default:
+	}
 }
 
 // writeFrameHeader fills the reserved header bytes in place.
@@ -137,34 +165,46 @@ func writeFrameHeader(frame []byte, round, partition int, reverse bool, valueChu
 	binary.BigEndian.PutUint64(frame[frameIdxOff:], uint64(idx))
 }
 
-// spl is one task's Send Partition List.
+// spl is one task's Send Partition List: one sendItem per destination
+// partition, filling until it seals.
 type spl struct {
-	parts   []partBuf
+	parts   []sendItem
 	maxSize int
 	// maxRecords additionally seals a partition buffer by record count.
 	// Streaming sets it below the credit window so no single sealed frame
 	// can ever need more credits than the window holds. 0 disables.
 	maxRecords int64
+	// tables makes every partition buffer a kv.CombineTable (Combine set,
+	// Compare nil).
+	tables bool
 	// frameSeq is the next frame index per partition. After a partial
 	// restart the replacement seeds it with the committed frame counts, so
 	// a deterministic re-run reproduces the same (partition, idx) labels
 	// as the lost incarnation and survivors can drop the duplicates.
 	frameSeq []int64
+	// sealed is the buffer add sealed last: add returns it by pointer,
+	// valid until the next add, so the per-record path neither copies an
+	// item out nor allocates one.
+	sealed sendItem
 }
 
 // splSlack is the headroom a presized SPL buffer keeps past maxSize for
 // the record that crosses it.
 const splSlack = 1 << 10
 
-type partBuf struct {
-	data    []byte
-	records int64
-	idx     int64 // assigned when the buffer is sealed
+// rawBytes is the record bytes a sealed buffer holds, framed: data past
+// its header, or the table's Size. It is what SendRecord charged to the
+// memory gauge.
+func (it *sendItem) rawBytes() int {
+	if it.table != nil {
+		return it.table.Size()
+	}
+	return max(len(it.data)-frameHeaderLen, 0)
 }
 
 func newSPL(numPartitions, maxSize int) *spl {
 	return &spl{
-		parts:    make([]partBuf, numPartitions),
+		parts:    make([]sendItem, numPartitions),
 		maxSize:  maxSize,
 		frameSeq: make([]int64, numPartitions),
 	}
@@ -180,52 +220,58 @@ func (s *spl) seedFrameSeq(counts map[int]int64) {
 	}
 }
 
-// add appends a record to partition p; it returns a sealed buffer when the
-// partition buffer crossed the threshold, else nil. Buffers come from the
-// frame pool with header space already reserved.
-func (s *spl) add(p int, rec kv.Record) *partBuf {
+// add appends a record to partition p; it returns the sealed buffer when
+// the partition buffer crossed the threshold, else nil. Buffers come from
+// the frame pool with header space already reserved, tables from
+// tableFree.
+func (s *spl) add(p int, rec kv.Record) *sendItem {
 	b := &s.parts[p]
-	if b.data == nil {
-		b.data = getFrame()
+	if s.tables {
+		if b.table == nil {
+			b.table = getTable()
+		}
+		b.table.Add(rec.Key, rec.Value)
+	} else {
+		if b.data == nil {
+			b.data = getFrame()
+		}
+		if need := len(b.data) + rec.Size(); need > cap(b.data) && s.maxRecords == 0 {
+			// A size-sealed buffer that outgrows its pooled frame ends just
+			// past maxSize: grow to that once instead of through append's
+			// doublings (about twice the bytes). Buffers that stay small keep
+			// the pooled frame, and record-capped (streaming) buffers grow as
+			// usual.
+			b.data = slices.Grow(b.data, max(need, frameHeaderLen+s.maxSize+splSlack)-len(b.data))
+		}
+		b.data = kv.AppendRecord(b.data, rec)
 	}
-	if need := len(b.data) + rec.Size(); need > cap(b.data) && s.maxRecords == 0 {
-		// A size-sealed buffer that outgrows its pooled frame ends just past
-		// maxSize: grow to that once instead of through append's doublings
-		// (about twice the bytes). Buffers that stay small keep the pooled
-		// frame, and record-capped (streaming) buffers grow as usual.
-		b.data = slices.Grow(b.data, max(need, frameHeaderLen+s.maxSize+splSlack)-len(b.data))
-	}
-	b.data = kv.AppendRecord(b.data, rec)
 	b.records++
-	if len(b.data)-frameHeaderLen >= s.maxSize ||
-		(s.maxRecords > 0 && b.records >= s.maxRecords) {
-		sealed := *b
-		sealed.idx = s.frameSeq[p]
-		s.frameSeq[p]++
-		*b = partBuf{}
-		return &sealed
+	if b.rawBytes() >= s.maxSize || (s.maxRecords > 0 && b.records >= s.maxRecords) {
+		s.sealed = s.seal(p)
+		return &s.sealed
 	}
 	return nil
 }
 
+// seal takes partition p's buffer out of the SPL, labelled with its
+// partition and frame index.
+func (s *spl) seal(p int) sendItem {
+	it := s.parts[p]
+	it.partition, it.idx = p, s.frameSeq[p]
+	s.frameSeq[p]++
+	s.parts[p] = sendItem{}
+	return it
+}
+
 // drain seals and returns every non-empty partition buffer.
-func (s *spl) drain() []sealedPart {
-	var out []sealedPart
+func (s *spl) drain() []sendItem {
+	var out []sendItem
 	for p := range s.parts {
 		if s.parts[p].records > 0 {
-			buf := s.parts[p]
-			buf.idx = s.frameSeq[p]
-			s.frameSeq[p]++
-			out = append(out, sealedPart{partition: p, buf: buf})
-			s.parts[p] = partBuf{}
+			out = append(out, s.seal(p))
 		}
 	}
 	return out
-}
-
-type sealedPart struct {
-	partition int
-	buf       partBuf
 }
 
 // decodePayload parses the message payload (everything after the round
@@ -242,34 +288,32 @@ func decodePayload(b []byte) (partition int, reverse, valueChunk bool, task int,
 	return partition, reverse, valueChunk, task, idx, b[frameHeaderLen-framePartOff:], nil
 }
 
-// prepareFrame sorts and combines a framed buffer's records according to
-// the config into a fresh pooled frame (the records alias the input, so
-// the reorder cannot be done in place) and recycles the input frame.
+// prepareFrame turns a sealed item into the frame to transmit, sorted
+// and combined according to the config, and marks it prepared.
 //
-// A combiner in raw-byte order (Compare unset) groups the records by
-// exact key bytes and sorts only the distinct keys (kv.HashCombine); in
-// steady state that allocates nothing beyond what the combiner does. A
-// custom Compare may call different bytes equal, so it keeps the general
-// path: decode, sort every record, combine the sorted runs, with scratch
-// carrying the record headers across calls. Both produce the same bytes
-// whenever both apply. When the config needs neither sort nor combine
-// the input frame is returned as is.
-func prepareFrame(cfg *Config, frame []byte, nrec int64, scratch *[]kv.Record) ([]byte, int64, error) {
-	if !cfg.sorted() && cfg.Combine == nil {
-		return frame, nrec, nil
+// A sealed combine table is combined straight into a fresh pooled frame
+// (kv.CombineTable.AppendCombined) and recycled; in steady state that
+// allocates nothing beyond what the combiner does. A frame is decoded,
+// sorted and combined under the config's Compare into a fresh pooled frame
+// (the records alias the input, so the reorder cannot be done in place),
+// with scratch carrying the record headers across calls, and recycled.
+// Both produce the same bytes whenever both apply. When the config needs
+// neither sort nor combine the input frame is returned as is.
+func prepareFrame(cfg *Config, item *sendItem, scratch *[]kv.Record) error {
+	item.prepared = true
+	if t := item.table; t != nil {
+		item.data, item.records = t.AppendCombined(getFrame(), cfg.Combine)
+		item.table = nil
+		putTable(t)
+		return nil
 	}
-	if cfg.Combine != nil && cfg.Compare == nil {
-		out, n, err := kv.HashCombine(getFrame(), frame[frameHeaderLen:], cfg.Combine)
-		if err != nil {
-			putFrame(out)
-			return nil, 0, err
-		}
-		putFrame(frame)
-		return out, n, nil
+	frame := item.data
+	if !cfg.sorted() && cfg.Combine == nil {
+		return nil
 	}
 	recs, err := kv.DecodeAllInto((*scratch)[:0], frame[frameHeaderLen:])
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	*scratch = recs
 	kv.SortRecords(recs, cfg.Compare)
@@ -284,5 +328,6 @@ func prepareFrame(cfg *Config, frame []byte, nrec int64, scratch *[]kv.Record) (
 		out = kv.AppendRecord(out, r)
 	}
 	putFrame(frame)
-	return out, int64(len(recs)), nil
+	item.data, item.records = out, int64(len(recs))
+	return nil
 }

@@ -54,41 +54,96 @@ func TestSPLGrowsOnceWhenFull(t *testing.T) {
 	}
 }
 
-// With a combiner in raw-byte order, preparing a WordCount-shaped 64 KiB
-// frame allocates nothing in steady state beyond what the combiner does:
-// no record headers, no per-key values slice, no map-key strings. The
-// combiner here keeps each key's largest count, a subslice of its input.
+// wordCountRecords are WordCount-shaped records (Zipf words, 8-byte
+// counts) of at least size framed bytes.
+func wordCountRecords(size int) []kv.Record {
+	rng := rand.New(rand.NewSource(5))
+	zipf := rand.NewZipf(rng, 1.1, 1, 4999)
+	var recs []kv.Record
+	for i, n := 0, 0; n < size; i++ {
+		r := kv.Record{Key: []byte(fmt.Sprintf("w%d", zipf.Uint64())), Value: binary.BigEndian.AppendUint64(nil, uint64(i%7+1))}
+		recs, n = append(recs, r), n+r.Size()
+	}
+	return recs
+}
+
+// maxCount is a combiner that keeps each key's largest count, a subslice
+// of its input, so it allocates nothing itself.
+func maxCount(_ []byte, vals [][]byte) [][]byte {
+	best := 0
+	for i, v := range vals {
+		if bytes.Compare(v, vals[best]) > 0 {
+			best = i
+		}
+	}
+	return vals[best : best+1]
+}
+
+// emptyTableFree drops the tables earlier tests left on the free list,
+// which hands tables out oldest first: after it, a table put is the next
+// one got.
+func emptyTableFree() {
+	for len(tableFree) > 0 {
+		<-tableFree
+	}
+}
+
+// With a combiner in raw-byte order, filling a default-size SPL table and
+// preparing it allocates nothing in steady state beyond what the combiner
+// does: no record headers, no per-key values slice, no map-key strings.
 func TestPrepareFrameHashCombineAllocsNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
-	rng := rand.New(rand.NewSource(5))
-	zipf := rand.NewZipf(rng, 1.1, 1, 4999)
-	var src []byte
-	for i := 0; len(src) < 64<<10; i++ {
-		w := fmt.Sprintf("w%d", zipf.Uint64())
-		src = kv.AppendRecord(src, kv.Record{Key: []byte(w), Value: binary.BigEndian.AppendUint64(nil, uint64(i%7+1))})
-	}
-	cfg := &Config{Combine: func(_ []byte, vals [][]byte) [][]byte {
-		best := 0
-		for i, v := range vals {
-			if bytes.Compare(v, vals[best]) > 0 {
-				best = i
-			}
-		}
-		return vals[best : best+1]
-	}}
+	recs := wordCountRecords(defaultSPLBytes)
+	emptyTableFree()
+	cfg := &Config{Combine: maxCount}
+	s := newSPL(1, defaultSPLBytes)
+	s.tables = true
 	var scratch []kv.Record
-	prepare := func() {
-		out, n, err := prepareFrame(cfg, append(getFrame(), src...), 0, &scratch)
-		if err != nil || n == 0 {
-			t.Fatalf("prepareFrame: %d records, %v", n, err)
+	seal := func() {
+		for _, r := range recs {
+			sealed := s.add(0, r)
+			if sealed == nil {
+				continue
+			}
+			item := *sealed
+			if err := prepareFrame(cfg, &item, &scratch); err != nil || item.records == 0 || item.table != nil {
+				t.Fatalf("prepareFrame: %d records, table %p, %v", item.records, item.table, err)
+			}
+			putFrame(item.data)
+			return
 		}
-		putFrame(out)
+		t.Fatal("a default SPL's worth of records did not seal the table")
 	}
-	prepare()
-	if allocs := allocsPerRunNoGC(100, prepare); allocs != 0 {
-		t.Fatalf("prepareFrame allocated %v times per frame, want 0", allocs)
+	seal()
+	if allocs := allocsPerRunNoGC(100, seal); allocs != 0 {
+		t.Fatalf("filling and preparing a table allocated %v times per seal, want 0", allocs)
+	}
+}
+
+// A sealed table is recycled whole across collections: a table regrown
+// from empty would allocate its arenas, chains and slots again at every
+// seal. A sync.Pool fails this, since two GCs empty it. (Counting
+// allocations across runtime.GC would not do: the runtime's own cleanup
+// after a collection allocates.)
+func TestCombineTableSurvivesGC(t *testing.T) {
+	emptyTableFree()
+	tb := getTable()
+	for _, r := range wordCountRecords(defaultSPLBytes) {
+		tb.Add(r.Key, r.Value)
+	}
+	tb.AppendCombined(nil, maxCount)
+	putTable(tb)
+	runtime.GC()
+	runtime.GC()
+	got := getTable()
+	defer putTable(got)
+	if got != tb {
+		t.Fatal("the table put before two GCs was not the one got after them")
+	}
+	if got.Len() != 0 || got.Size() != 0 {
+		t.Fatalf("recycled table holds %d records of %d bytes, want none", got.Len(), got.Size())
 	}
 }
 
@@ -131,9 +186,10 @@ func TestPrepareFrameSortedAllocsOnce(t *testing.T) {
 	prepare := func() {
 		putFrame(smalls[0])
 		smalls = smalls[1:]
-		out, n, err := prepareFrame(cfg, in, 0, &scratch)
-		if err != nil || n == 0 || len(out) != len(src) {
-			t.Fatalf("prepareFrame: %d records, %d of %d bytes, %v", n, len(out), len(src), err)
+		item := sendItem{data: in}
+		err := prepareFrame(cfg, &item, &scratch)
+		if err != nil || item.records == 0 || len(item.data) != len(src) {
+			t.Fatalf("prepareFrame: %d records, %d of %d bytes, %v", item.records, len(item.data), len(src), err)
 		}
 	}
 	prepare()
@@ -159,7 +215,7 @@ func TestDefaultSPLFrameIsPooled(t *testing.T) {
 	// -race), so try a few freshly sealed buffers, each put exactly once.
 	for i := 0; i < 10; i++ {
 		s := newSPL(1, cfg.SPLBytes)
-		var sealed *partBuf
+		var sealed *sendItem
 		for sealed == nil {
 			sealed = s.add(0, rec)
 		}

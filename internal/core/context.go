@@ -196,16 +196,9 @@ func (c *Context) sendRecordTo(p int, rec kv.Record) error {
 	if sealed := c.spl.add(p, rec); sealed != nil {
 		if tb := c.proc.tb; tb != nil {
 			tb.Instant(taskTID(c.task, c.isO), "spl.seal", "buffer",
-				map[string]any{"partition": p, "bytes": len(sealed.data), "records": sealed.records})
+				map[string]any{"partition": p, "bytes": sealed.rawBytes(), "records": sealed.records})
 		}
-		if err := c.proc.submit(sendItem{
-			task:      c.task,
-			partition: p,
-			reverse:   !c.isO,
-			data:      sealed.data,
-			records:   sealed.records,
-			idx:       sealed.idx,
-		}, c.round); err != nil {
+		if err := c.submitSealed(*sealed); err != nil {
 			return err
 		}
 	}
@@ -346,16 +339,8 @@ func (c *Context) checkpointRound() error {
 func (c *Context) drainSPL() error {
 	start := c.proc.tb.Start()
 	sealed := c.spl.drain()
-	for _, sp := range sealed {
-		err := c.proc.submit(sendItem{
-			task:      c.task,
-			partition: sp.partition,
-			reverse:   !c.isO,
-			data:      sp.buf.data,
-			records:   sp.buf.records,
-			idx:       sp.buf.idx,
-		}, c.round)
-		if err != nil {
+	for _, item := range sealed {
+		if err := c.submitSealed(item); err != nil {
 			return err
 		}
 	}
@@ -364,6 +349,13 @@ func (c *Context) drainSPL() error {
 			map[string]any{"buffers": len(sealed)})
 	}
 	return nil
+}
+
+// submitSealed hands one sealed partition buffer to the communication
+// thread.
+func (c *Context) submitSealed(item sendItem) error {
+	item.task, item.reverse = c.task, !c.isO
+	return c.proc.submit(item, c.round)
 }
 
 // flushSends seals and submits every pending partition buffer (committing

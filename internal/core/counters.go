@@ -90,6 +90,14 @@ func maxInt64(m *atomic.Int64, v int64) {
 	}
 }
 
+// putNonzero sets out[name] to v unless v is 0: the counters of a feature
+// a run did not use stay out of the map.
+func putNonzero(out map[string]int64, name string, v int64) {
+	if v != 0 {
+		out[name] = v
+	}
+}
+
 // snapshot folds the counters (plus the MPI transport's wire counters)
 // into the flat name->value map reported on Result.RuntimeCounters.
 func (rc *runtimeCounters) snapshot(ws mpi.Stats) map[string]int64 {
@@ -123,76 +131,32 @@ func (rc *runtimeCounters) snapshot(ws mpi.Stats) map[string]int64 {
 	out["checkpoint.chunks"] = rc.cpChunks.Load()
 	// Async-commit and partial-restart counters appear only when nonzero,
 	// so the sync/async ablations stay byte-identical on the shared set.
-	if v := rc.cpAsyncCommits.Load(); v != 0 {
-		out["cp.async.commits"] = v
-	}
-	if v := rc.cpAsyncStalls.Load(); v != 0 {
-		out["cp.async.stalls"] = v
-	}
-	if v := rc.partialRestarts.Load(); v != 0 {
-		out["restart.partial.restarts"] = v
-	}
-	if v := rc.partialReplayed.Load(); v != 0 {
-		out["restart.partial.replayed.records"] = v
-	}
-	if v := rc.partialDropped.Load(); v != 0 {
-		out["restart.partial.dropped.frames"] = v
-	}
-	if v := rc.partialDupFrames.Load(); v != 0 {
-		out["restart.partial.dup.frames"] = v
-	}
+	putNonzero(out, "cp.async.commits", rc.cpAsyncCommits.Load())
+	putNonzero(out, "cp.async.stalls", rc.cpAsyncStalls.Load())
+	putNonzero(out, "restart.partial.restarts", rc.partialRestarts.Load())
+	putNonzero(out, "restart.partial.replayed.records", rc.partialReplayed.Load())
+	putNonzero(out, "restart.partial.dropped.frames", rc.partialDropped.Load())
+	putNonzero(out, "restart.partial.dup.frames", rc.partialDupFrames.Load())
 	// Streaming counters appear only when a job moved stream events, so
 	// the non-streaming modes keep an identical counter set.
-	if v := rc.streamEventsIn.Load(); v != 0 {
-		out["stream.events.in"] = v
-	}
-	if v := rc.streamEventsOut.Load(); v != 0 {
-		out["stream.events.out"] = v
-	}
-	if v := rc.streamCreditsGranted.Load(); v != 0 {
-		out["stream.credits.granted"] = v
-	}
-	if v := rc.streamCreditStalls.Load(); v != 0 {
-		out["stream.credits.stalls"] = v
-	}
-	if v := rc.streamMaxOutstanding.Load(); v != 0 {
-		out["stream.credits.max.outstanding"] = v
-	}
-	if v := rc.streamLateDropped.Load(); v != 0 {
-		out["stream.late.dropped"] = v
-	}
-	if v := rc.streamWindowsFired.Load(); v != 0 {
-		out["stream.windows.fired"] = v
-	}
-	if v := rc.streamWindowsFenced.Load(); v != 0 {
-		out["stream.windows.fenced"] = v
-	}
-	if v := rc.streamStateSpills.Load(); v != 0 {
-		out["stream.state.spills"] = v
-	}
-	if v := rc.streamFramesAfterEOS.Load(); v != 0 {
-		out["stream.frames.after.eos"] = v
-	}
+	putNonzero(out, "stream.events.in", rc.streamEventsIn.Load())
+	putNonzero(out, "stream.events.out", rc.streamEventsOut.Load())
+	putNonzero(out, "stream.credits.granted", rc.streamCreditsGranted.Load())
+	putNonzero(out, "stream.credits.stalls", rc.streamCreditStalls.Load())
+	putNonzero(out, "stream.credits.max.outstanding", rc.streamMaxOutstanding.Load())
+	putNonzero(out, "stream.late.dropped", rc.streamLateDropped.Load())
+	putNonzero(out, "stream.windows.fired", rc.streamWindowsFired.Load())
+	putNonzero(out, "stream.windows.fenced", rc.streamWindowsFenced.Load())
+	putNonzero(out, "stream.state.spills", rc.streamStateSpills.Load())
+	putNonzero(out, "stream.frames.after.eos", rc.streamFramesAfterEOS.Load())
 	// Blob counters appear only when a job streamed oversized values, so
 	// ordinary jobs keep an identical counter set.
-	if v := rc.blobValuesSent.Load(); v != 0 {
-		out["blob.values.sent"] = v
-	}
-	if v := rc.blobChunksSent.Load(); v != 0 {
-		out["blob.chunks.sent"] = v
-	}
-	if v := rc.blobBytesSent.Load(); v != 0 {
-		out["blob.bytes.sent"] = v
-	}
-	if v := rc.blobChunksRecv.Load(); v != 0 {
-		out["blob.chunks.received"] = v
-	}
-	if v := rc.blobBytesRecv.Load(); v != 0 {
-		out["blob.bytes.received"] = v
-	}
-	if v := rc.blobValuesRecv.Load(); v != 0 {
-		out["blob.values.received"] = v
-	}
+	putNonzero(out, "blob.values.sent", rc.blobValuesSent.Load())
+	putNonzero(out, "blob.chunks.sent", rc.blobChunksSent.Load())
+	putNonzero(out, "blob.bytes.sent", rc.blobBytesSent.Load())
+	putNonzero(out, "blob.chunks.received", rc.blobChunksRecv.Load())
+	putNonzero(out, "blob.bytes.received", rc.blobBytesRecv.Load())
+	putNonzero(out, "blob.values.received", rc.blobValuesRecv.Load())
 	out["fetch.bytes.served"] = rc.fetchBytesServed.Load()
 	out["mpi.frames.sent"] = ws.FramesSent
 	out["mpi.bytes.sent"] = ws.BytesSent
@@ -203,41 +167,19 @@ func (rc *runtimeCounters) snapshot(ws mpi.Stats) map[string]int64 {
 	// Progress-engine wire counters appear only when nonzero, so mem-
 	// transport runs (and TCP runs where a meter never fires) keep an
 	// identical counter set.
-	if ws.CoalesceBatches != 0 {
-		out["mpi.coalesce.batches"] = ws.CoalesceBatches
-	}
-	if ws.MuxConns != 0 {
-		out["mpi.mux.conns"] = ws.MuxConns
-	}
-	if ws.WritevCalls != 0 {
-		out["mpi.writev.calls"] = ws.WritevCalls
-	}
-	if ws.ShmConns != 0 {
-		out["mpi.shm.conns"] = ws.ShmConns
-	}
-	if ws.ShmBytes != 0 {
-		out["mpi.shm.bytes"] = ws.ShmBytes
-	}
-	if ws.ShmWakes != 0 {
-		out["mpi.shm.wakes"] = ws.ShmWakes
-	}
-	if ws.ShmSpins != 0 {
-		out["mpi.shm.spins"] = ws.ShmSpins
-	}
+	putNonzero(out, "mpi.coalesce.batches", ws.CoalesceBatches)
+	putNonzero(out, "mpi.mux.conns", ws.MuxConns)
+	putNonzero(out, "mpi.writev.calls", ws.WritevCalls)
+	putNonzero(out, "mpi.shm.conns", ws.ShmConns)
+	putNonzero(out, "mpi.shm.bytes", ws.ShmBytes)
+	putNonzero(out, "mpi.shm.wakes", ws.ShmWakes)
+	putNonzero(out, "mpi.shm.spins", ws.ShmSpins)
 	// Transport-level chunking fires only when a single message outgrows
 	// the chunk threshold, so ordinary runs see no mpi.chunk.* keys.
-	if ws.ChunkFramesSent != 0 {
-		out["mpi.chunk.frames.sent"] = ws.ChunkFramesSent
-	}
-	if ws.ChunkFramesRecv != 0 {
-		out["mpi.chunk.frames.received"] = ws.ChunkFramesRecv
-	}
-	if ws.ChunkMsgsSent != 0 {
-		out["mpi.chunk.msgs.sent"] = ws.ChunkMsgsSent
-	}
-	if ws.ChunkMsgsReassembled != 0 {
-		out["mpi.chunk.msgs.reassembled"] = ws.ChunkMsgsReassembled
-	}
+	putNonzero(out, "mpi.chunk.frames.sent", ws.ChunkFramesSent)
+	putNonzero(out, "mpi.chunk.frames.received", ws.ChunkFramesRecv)
+	putNonzero(out, "mpi.chunk.msgs.sent", ws.ChunkMsgsSent)
+	putNonzero(out, "mpi.chunk.msgs.reassembled", ws.ChunkMsgsReassembled)
 	return out
 }
 

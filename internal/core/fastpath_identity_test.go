@@ -6,22 +6,31 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"datampi/internal/diskio"
 	"datampi/internal/kv"
+	"datampi/internal/metrics"
 )
 
 // Fast-path identity: a job that leaves Compare unset sorts and merges in
-// raw-byte order through kv's key-prefix column, and combines by hash
-// before sorting (kv.HashCombine); the same job with Compare set to an
-// equivalent closure takes the generic comparator path and sorts before it
-// combines. Both must deliver the same records in the same order —
-// including the order of equal keys, which NextGroup exposes as value
-// order — and count the same work, through the plain shuffle, the spill
-// and compaction merges, and a checkpoint crash/restart.
+// raw-byte order through kv's key-prefix column, and combines as it emits,
+// each SPL partition a kv.CombineTable; the same job with Compare set to
+// an equivalent closure takes the generic comparator path, encoding every
+// record into the SPL and sorting before it combines. Both must deliver
+// the same records in the same order — including the order of equal keys,
+// which NextGroup exposes as value order — count the same work and move
+// the same bytes, commit byte-identical checkpoint chunks, and give every
+// byte charged to the memory gauge back, through the plain shuffle, the
+// spill and compaction merges, a checkpoint crash/restart, the serial
+// O side (OSidePipelineOff), and a raw Streaming job whose frames seal
+// by record count.
 //
 // Every job has one O task, one merge worker and one partition per
 // process, so the runs each partition receives arrive, spill and compact
@@ -151,6 +160,34 @@ func identityJob(shape string, n int, out *identityOutput) *Job {
 				out.add(ctx.Rank(), fmt.Sprintf("%q=%s", rec.Key, rec.Value))
 			}
 		}
+	case "stream-wordcount":
+		// Raw Streaming with a combiner: no time-based drains, and a credit
+		// window small enough that frames seal at its record cap (half the
+		// window) long before SPLBytes. A tasks see each frame's combined
+		// records in arrival order, which one O task makes fixed.
+		words := wcShapeWords(47, n)
+		job.Mode = Streaming
+		job.Conf.Combine = identityCombiners["wordcount-concat"]
+		job.Conf.FlushInterval = time.Hour
+		job.Conf.SPLBytes = 1 << 20
+		job.hooks.creditWindow = 64
+		job.OTask = func(ctx *Context) error {
+			for i, w := range words {
+				if err := ctx.SendRecord(kv.Record{Key: w, Value: []byte(fmt.Sprintf("%07d;", i))}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		job.ATask = func(ctx *Context) error {
+			for {
+				rec, ok, err := ctx.RecvRecord()
+				if err != nil || !ok {
+					return err
+				}
+				out.add(ctx.Rank(), fmt.Sprintf("%q=%s", rec.Key, rec.Value))
+			}
+		}
 	default:
 		words := wcShapeWords(43, n)
 		job.Conf.Combine = identityCombiners[shape]
@@ -185,12 +222,19 @@ func identityJob(shape string, n int, out *identityOutput) *Job {
 	return job
 }
 
-// workCounters are the counters the two paths must agree on.
-var workCounters = []string{"shuffle.records.sent", "shuffle.bytes.sent", "combine.records.in", "combine.records.out"}
+// workCounter reports whether the two paths must agree on a counter.
+// mpi.bytes.sent is left out: the end-of-run snapshot can miss the last
+// sends (seen on both mem and TCP), while every received byte is counted
+// before the run ends.
+func workCounter(name string) bool {
+	return strings.HasPrefix(name, "shuffle.") || strings.HasPrefix(name, "combine.") ||
+		name == "mpi.bytes.received"
+}
 
 type identityRun struct {
 	lines    [][]string
 	counters map[string]int64
+	chunks   map[string]string // checkpoint chunk file name -> contents
 }
 
 // runIdentityCase runs one shape under one comparator and one scenario.
@@ -200,7 +244,11 @@ func runIdentityCase(t *testing.T, shape, scenario string, cmp kv.Compare, opts 
 	var out identityOutput
 	job := identityJob(shape, n, &out)
 	job.Conf.Compare = cmp
+	job.Mem = new(metrics.Gauge)
+	var cpDir string
 	switch scenario {
+	case "pipeline-off":
+		job.Conf.OSidePipelineOff = true
 	case "spill":
 		job.Conf.MemCacheBytes = 1 << 10
 		job.hooks.spillCompactFanIn = 4
@@ -226,6 +274,7 @@ func runIdentityCase(t *testing.T, shape, scenario string, cmp kv.Compare, opts 
 		job.Conf.FaultTolerance, job.Conf.CheckpointDir = true, dir
 		job.Conf.CheckpointRecords = 200
 		job.Procs = 1
+		cpDir = dir
 	}
 	res, err := Run(job, opts...)
 	if err != nil {
@@ -243,9 +292,28 @@ func runIdentityCase(t *testing.T, shape, scenario string, cmp kv.Compare, opts 
 			t.Fatal("restart reloaded nothing")
 		}
 	}
+	if v := job.Mem.Value(); v != 0 {
+		t.Errorf("memory gauge ends at %d bytes, want 0", v)
+	}
 	run := identityRun{lines: out.lines, counters: map[string]int64{}}
-	for _, k := range workCounters {
-		run.counters[k] = rc[k]
+	for k, v := range rc {
+		if workCounter(k) {
+			run.counters[k] = v
+		}
+	}
+	if cpDir != "" {
+		files, err := filepath.Glob(filepath.Join(cpDir, "*.done"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no checkpoint chunks under %s (%v)", cpDir, err)
+		}
+		run.chunks = map[string]string{}
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run.chunks[filepath.Base(f)] = string(b)
+		}
 	}
 	return run
 }
@@ -256,14 +324,22 @@ func TestRawOrderFastPathIdentity(t *testing.T) {
 		name string
 		opts []RunOption
 	}{{"mem", nil}, {"tcp", []RunOption{WithTCPTransport()}}}
+	scenarios := map[string][]string{"stream-wordcount": {"plain", "pipeline-off"}}
 	for _, tr := range transports {
-		for _, shape := range []string{"terasort", "wordcount", "wordcount-concat", "wordcount-two"} {
-			for _, scenario := range []string{"plain", "spill", "crash-restart"} {
+		for _, shape := range []string{"terasort", "wordcount", "wordcount-concat", "wordcount-two", "stream-wordcount"} {
+			shapeScenarios := scenarios[shape]
+			if shapeScenarios == nil {
+				shapeScenarios = []string{"plain", "spill", "crash-restart", "pipeline-off"}
+			}
+			for _, scenario := range shapeScenarios {
 				t.Run(tr.name+"/"+shape+"/"+scenario, func(t *testing.T) {
 					fast := runIdentityCase(t, shape, scenario, nil, tr.opts)
 					generic := runIdentityCase(t, shape, scenario, rawOrderClosure, tr.opts)
 					if !reflect.DeepEqual(fast.counters, generic.counters) {
 						t.Errorf("work counters: fast path %v, generic %v", fast.counters, generic.counters)
+					}
+					if !reflect.DeepEqual(fast.chunks, generic.chunks) {
+						t.Errorf("checkpoint chunks differ: fast path %d files, generic %d", len(fast.chunks), len(generic.chunks))
 					}
 					total := 0
 					for p := range fast.lines {

@@ -116,8 +116,7 @@ type pendingSend struct {
 	flush chan struct{}
 	ready chan struct{} // nil when no prepare stage is needed
 	err   error
-	// rawBytes is the sealed record-byte size before prepare, which is
-	// what SendRecord charged to the memory gauge.
+	// rawBytes is item.rawBytes before prepare.
 	rawBytes int
 }
 
@@ -266,9 +265,7 @@ func (p *process) senderLoop() {
 		if qi.flush == nil {
 			// Snapshot the sealed size before a prepare worker can mutate
 			// the item concurrently.
-			if n := len(ps.item.data) - frameHeaderLen; n > 0 {
-				ps.rawBytes = n
-			}
+			ps.rawBytes = ps.item.rawBytes()
 			if p.needsPrepare(&ps.item) {
 				ps.ready = make(chan struct{})
 				select {
@@ -293,32 +290,33 @@ func (p *process) senderLoop() {
 func (p *process) prepareWorker(w int) {
 	defer p.wg.Done()
 	var scratch []kv.Record
-	cfg := &p.rt.job.Conf
 	for ps := range p.prepQ {
 		start := p.tb.Start()
-		var done func()
-		if p.rt.job.Busy != nil {
-			done = p.rt.job.Busy.Track()
-		}
-		frame, nrec, err := prepareFrame(cfg, ps.item.data, ps.item.records, &scratch)
-		if done != nil {
-			done()
-		}
-		if err != nil {
-			ps.err = err
-		} else {
-			p.rt.ctrs.combineIn.Add(ps.item.records)
-			p.rt.ctrs.combineOut.Add(nrec)
-			if p.tb != nil {
-				p.tb.Span(prepTID(w), "prepare", "shuffle", start, map[string]any{
-					"task": ps.item.task, "partition": ps.item.partition,
-					"in": ps.item.records, "out": nrec,
-				})
-			}
-			ps.item.data, ps.item.records, ps.item.prepared = frame, nrec, true
+		in, err := p.prepare(&ps.item, &scratch)
+		ps.err = err
+		if err == nil && p.tb != nil {
+			p.tb.Span(prepTID(w), "prepare", "shuffle", start, map[string]any{
+				"task": ps.item.task, "partition": ps.item.partition,
+				"in": in, "out": ps.item.records,
+			})
 		}
 		close(ps.ready)
 	}
+}
+
+// prepare runs prepareFrame on one item, charged to the busy tracker, and
+// counts its combine work; it returns the record count the item sealed.
+func (p *process) prepare(item *sendItem, scratch *[]kv.Record) (int64, error) {
+	if p.rt.job.Busy != nil {
+		defer p.rt.job.Busy.Track()()
+	}
+	in := item.records
+	if err := prepareFrame(&p.rt.job.Conf, item, scratch); err != nil {
+		return in, err
+	}
+	p.rt.ctrs.combineIn.Add(in)
+	p.rt.ctrs.combineOut.Add(item.records)
+	return in, nil
 }
 
 // transmitLoop is the ordered transmit stage: it consumes xmitQ in
@@ -355,25 +353,11 @@ func (p *process) transmitLoop() {
 func (p *process) processItem(item sendItem, round int) error {
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	rawBytes := 0
-	if n := len(item.data) - frameHeaderLen; n > 0 {
-		rawBytes = n
-	}
+	rawBytes := item.rawBytes()
 	if p.needsPrepare(&item) {
-		var done func()
-		if p.rt.job.Busy != nil {
-			done = p.rt.job.Busy.Track()
-		}
-		data, nrec, err := prepareFrame(&p.rt.job.Conf, item.data, item.records, &p.prepScratch)
-		if done != nil {
-			done()
-		}
-		if err != nil {
+		if _, err := p.prepare(&item, &p.prepScratch); err != nil {
 			return err
 		}
-		p.rt.ctrs.combineIn.Add(item.records)
-		p.rt.ctrs.combineOut.Add(nrec)
-		item.data, item.records, item.prepared = data, nrec, true
 	}
 	return p.transmit(&item, round, rawBytes)
 }

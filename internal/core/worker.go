@@ -101,6 +101,7 @@ func (rt *Runtime) taskContext(p *process, task int, isO bool, skip int64) *Cont
 			skip:    skip,
 			cpTotal: skip,
 		}
+		ctx.spl.tables = rt.job.Conf.Combine != nil && rt.job.Conf.Compare == nil
 		if isO && rt.job.Mode == Streaming {
 			// Cap sealed frames at half the credit window so no single frame
 			// can demand more credits than the window holds.
@@ -269,7 +270,7 @@ func (rt *Runtime) reloadChunks(p *process, cmd ctrlMsg) {
 				// Chunk payloads carry their own (partition, task, idx)
 				// header followed by record bytes; wrap the records into a
 				// framed buffer for the zero-copy transmit path.
-				data:         frameWithRecords(records),
+				data:         rt.reloadFrame(records),
 				idx:          idx,
 				prepared:     true,
 				noCheckpoint: true,
@@ -283,6 +284,16 @@ func (rt *Runtime) reloadChunks(p *process, cmd ctrlMsg) {
 		total += n
 	}
 	rt.reportEvent(p, eventMsg{Type: "reloadDone", Records: total})
+}
+
+// reloadFrame wraps a checkpoint chunk entry's records into a framed
+// buffer and charges them to the memory gauge, as SendRecord charges the
+// records it buffers; transmit gives them back.
+func (rt *Runtime) reloadFrame(records []byte) []byte {
+	if rt.job.Mem != nil {
+		rt.job.Mem.Add(int64(len(records)))
+	}
+	return append(getFrame(), records...)
 }
 
 // rejoinRank patches this survivor's transport directory for a respawned
@@ -344,7 +355,7 @@ func (rt *Runtime) replayChunks(p *process, cmd ctrlMsg) {
 				task:         task,
 				partition:    partition,
 				reverse:      reverse,
-				data:         frameWithRecords(records),
+				data:         rt.reloadFrame(records),
 				records:      nrec,
 				idx:          idx,
 				prepared:     true,

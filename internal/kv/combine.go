@@ -3,150 +3,152 @@ package kv
 import (
 	"bytes"
 	"hash/maphash"
-	"math"
 	"slices"
-	"sync"
 )
 
-// combineGroup is one distinct key of a HashCombine call: where its bytes
-// sit in the input, and the first and last records of its value chain.
+// CombineTable is a send buffer that groups records as they arrive: an
+// open-addressing hash table keyed by exact key bytes, each distinct key
+// stored once and every value kept, chained to its key in Add order.
+// AppendCombined then sorts only the distinct keys and runs the combiner
+// once per key, so a combining sender never encodes, parses or sorts a
+// record per emission.
+//
+// Equal bytes are equal keys only in raw-byte order, so a custom Compare
+// cannot use a table. Its slots, groups and chains are offsets, not
+// pointers, so the collector does not scan them. The zero value is an
+// empty table.
+type CombineTable struct {
+	slots  []int32 // group index + 1, 0 = empty
+	groups []combineGroup
+	links  []valueLink
+	keys   []byte // each distinct key's bytes, once
+	vals   []byte // every value's bytes, in Add order
+	size   int
+
+	rows, rowsBuf []prefixIdx // the distinct keys, sorted by sortRows
+	vbuf          [][]byte    // the one values slice every combine call sees
+}
+
+// combineGroup is one distinct key: its bytes in keys, and the first and
+// last links of its value chain.
 type combineGroup struct {
 	hash           uint64
-	keyOff, keyLen int32
-	head, tail     int32 // indices into combineScratch.links
+	keyOff, keyEnd int
+	head, tail     int32
 }
 
-func (g *combineGroup) key(src []byte) []byte { return src[g.keyOff : g.keyOff+g.keyLen] }
-
-// valueLink is one record's value, chained to the next record of its key.
+// valueLink is one Add's value, which ends at end in vals and starts where
+// the previous Add's value ended.
 type valueLink struct {
-	off, len int32
-	next     int32 // -1 ends the chain
+	end  int
+	next int32 // the key's next value; -1 ends the chain
 }
 
-// combineScratch is HashCombine's reusable working memory. All but vals is
-// offsets into the input, so pooling it pins no frame.
-type combineScratch struct {
-	slots   []int32 // open-addressing table: group index + 1, 0 = empty
-	groups  []combineGroup
-	links   []valueLink
-	rows    []prefixIdx // the distinct keys, sorted by sortRows
-	rowsBuf []prefixIdx
-	vals    [][]byte // the one values slice every Combine call sees
+var combineSeed = maphash.MakeSeed()
+
+// Add appends one record. It copies key (once per distinct key) and value,
+// so the caller may reuse both as soon as Add returns.
+func (t *CombineTable) Add(key, value []byte) {
+	t.size += Record{Key: key, Value: value}.Size()
+	t.vals = append(t.vals, value...)
+	li := int32(len(t.links))
+	t.links = append(t.links, valueLink{end: len(t.vals), next: -1})
+	if len(t.slots) == 0 {
+		t.slots = make([]int32, 64)
+	}
+	h := maphash.Bytes(combineSeed, key)
+	mask := uint64(len(t.slots) - 1)
+	i := h & mask
+	for ; t.slots[i] != 0; i = (i + 1) & mask {
+		g := &t.groups[t.slots[i]-1]
+		if g.hash == h && bytes.Equal(t.keys[g.keyOff:g.keyEnd], key) {
+			t.links[g.tail].next = li
+			g.tail = li
+			return
+		}
+	}
+	off := len(t.keys)
+	t.keys = append(t.keys, key...)
+	t.groups = append(t.groups, combineGroup{hash: h, keyOff: off, keyEnd: len(t.keys), head: li, tail: li})
+	t.slots[i] = int32(len(t.groups))
+	if 2*len(t.groups) > len(t.slots) {
+		t.growSlots()
+	}
 }
 
-var (
-	combineScratchPool sync.Pool
-	combineSeed        = maphash.MakeSeed()
-)
+// growSlots doubles the table and reinserts every group by its stored hash.
+func (t *CombineTable) growSlots() {
+	n := 2 * len(t.slots)
+	t.slots = slices.Grow(t.slots[:0], n)[:n]
+	clear(t.slots)
+	mask := uint64(n - 1)
+	for gi := range t.groups {
+		i := t.groups[gi].hash & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = int32(gi + 1)
+	}
+}
 
-// HashCombine combines the framed records in src and appends the result,
-// framed, to dst, returning it and the number of records appended. The
-// bytes are exactly those of DecodeAll, SortRecords in raw-byte order,
-// ApplyCombine under DefaultCompare and AppendRecord, but the records are
-// never sorted: they are grouped by exact key bytes in a hash table, each
-// key's values kept in emission order, and only the distinct keys are
-// sorted before combine runs once per key, in key order. Equal bytes are
-// equal keys only in raw-byte order, so a custom Compare cannot use this.
+// Size is the number of bytes the added records take framed: the sum of
+// their Record.Size.
+func (t *CombineTable) Size() int { return t.size }
+
+// Len is the number of records added.
+func (t *CombineTable) Len() int { return len(t.links) }
+
+// key returns group gi's key, capped so a combiner appending to it cannot
+// overwrite the next key.
+func (t *CombineTable) key(gi int32) []byte {
+	g := &t.groups[gi]
+	return t.keys[g.keyOff:g.keyEnd:g.keyEnd]
+}
+
+// AppendCombined appends the combined records, framed, to dst and returns
+// it and the number of records appended. The bytes are exactly those of
+// sorting the added records stably in raw-byte key order, ApplyCombine
+// under DefaultCompare and AppendRecord: combine runs once per distinct
+// key, in key order, over the key's values in Add order.
 //
 // combine sees one reused values slice, and its result is encoded before
-// the next call, so it must keep neither across calls.
-func HashCombine(dst, src []byte, combine Combine) ([]byte, int64, error) {
-	if len(src) > math.MaxInt32 {
-		recs, err := DecodeAll(src)
-		if err != nil {
-			return dst, 0, err
-		}
-		SortRecords(recs, nil)
-		recs = ApplyCombine(recs, DefaultCompare, combine)
-		for _, r := range recs {
-			dst = AppendRecord(dst, r)
-		}
-		return dst, int64(len(recs)), nil
+// the next call, so it must keep neither across calls. The table is left
+// as it was; Reset empties it.
+func (t *CombineTable) AppendCombined(dst []byte, combine Combine) ([]byte, int64) {
+	ng := len(t.groups)
+	rows := slices.Grow(t.rows[:0], ng)[:ng]
+	t.rows, t.rowsBuf = rows, slices.Grow(t.rowsBuf[:0], ng)[:ng]
+	for i := range t.groups {
+		rows[i] = prefixIdx{pfx: keyPrefix(t.key(int32(i))), idx: int32(i)}
 	}
-	s, _ := combineScratchPool.Get().(*combineScratch)
-	if s == nil {
-		s = &combineScratch{}
-	}
-	defer combineScratchPool.Put(s)
-	s.groups, s.links = s.groups[:0], s.links[:0]
-	s.slots = slices.Grow(s.slots[:0], 64)[:64]
-	clear(s.slots)
-
-	for b := src; len(b) > 0; {
-		rec, n, err := ReadRecord(b)
-		if err != nil {
-			return dst, 0, err
-		}
-		b = b[n:]
-		// The record's slices alias src: the capacity src has past a slice
-		// is its offset.
-		s.links = append(s.links, valueLink{off: int32(cap(src) - cap(rec.Value)), len: int32(len(rec.Value)), next: -1})
-		s.add(src, rec.Key, int32(cap(src)-cap(rec.Key)))
-	}
-
-	ng := len(s.groups)
-	rows := slices.Grow(s.rows[:0], ng)[:ng]
-	s.rows, s.rowsBuf = rows, slices.Grow(s.rowsBuf[:0], ng)[:ng]
-	for i := range s.groups {
-		rows[i] = prefixIdx{pfx: keyPrefix(s.groups[i].key(src)), idx: int32(i)}
-	}
-	rows = sortRows(rows, s.rowsBuf, func(i int32) []byte { return s.groups[i].key(src) })
+	rows = sortRows(rows, t.rowsBuf, t.key)
 
 	var out int64
-	maxVals := 0
 	for _, r := range rows {
-		g := &s.groups[r.idx]
-		vals := s.vals[:0]
-		for l := g.head; l >= 0; l = s.links[l].next {
-			v := s.links[l]
-			vals = append(vals, src[v.off:v.off+v.len])
+		g := &t.groups[r.idx]
+		vals := t.vbuf[:0]
+		for l := g.head; l >= 0; l = t.links[l].next {
+			start := 0
+			if l > 0 {
+				start = t.links[l-1].end
+			}
+			end := t.links[l].end
+			vals = append(vals, t.vals[start:end:end])
 		}
-		s.vals, maxVals = vals, max(maxVals, len(vals))
-		key := g.key(src)
+		t.vbuf = vals
+		key := t.key(r.idx)
 		for _, v := range combine(key, vals) {
 			dst = AppendRecord(dst, Record{Key: key, Value: v})
 			out++
 		}
 	}
-	// Drop the values' pointers into src before pooling.
-	clear(s.vals[:maxVals])
-	return dst, out, nil
+	return dst, out
 }
 
-// add chains the last link onto its key's group, opening a group if the
-// key (at keyOff in src) is new.
-func (s *combineScratch) add(src, key []byte, keyOff int32) {
-	li := int32(len(s.links) - 1)
-	h := maphash.Bytes(combineSeed, key)
-	mask := uint64(len(s.slots) - 1)
-	i := h & mask
-	for ; s.slots[i] != 0; i = (i + 1) & mask {
-		g := &s.groups[s.slots[i]-1]
-		if g.hash == h && bytes.Equal(g.key(src), key) {
-			s.links[g.tail].next = li
-			g.tail = li
-			return
-		}
-	}
-	s.groups = append(s.groups, combineGroup{hash: h, keyOff: keyOff, keyLen: int32(len(key)), head: li, tail: li})
-	s.slots[i] = int32(len(s.groups))
-	if 2*len(s.groups) > len(s.slots) {
-		s.growSlots()
-	}
-}
-
-// growSlots doubles the table and reinserts every group by its stored hash.
-func (s *combineScratch) growSlots() {
-	n := 2 * len(s.slots)
-	s.slots = slices.Grow(s.slots[:0], n)[:n]
-	clear(s.slots)
-	mask := uint64(n - 1)
-	for gi := range s.groups {
-		i := s.groups[gi].hash & mask
-		for s.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.slots[i] = int32(gi + 1)
-	}
+// Reset empties the table, keeping its memory for reuse.
+func (t *CombineTable) Reset() {
+	clear(t.slots)
+	t.groups, t.links = t.groups[:0], t.links[:0]
+	t.keys, t.vals = t.keys[:0], t.vals[:0]
+	t.size = 0
 }

@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// Differential tests for HashCombine: on the same frame it must produce
-// the bytes of the path it replaces for raw-byte order — DecodeAll,
-// SortRecords, ApplyCombine, AppendRecord — and report the same record
-// count, under combiners that drop keys, emit several values, return the
-// values slice they were given, and depend on value order.
+// Differential tests for CombineTable: fed a frame's records one Add at a
+// time, it must produce the bytes of the path it replaces for raw-byte
+// order — DecodeAll, SortRecords, ApplyCombine, AppendRecord — and report
+// the same record count, under combiners that drop keys, emit several
+// values, return the values slice they were given, and depend on value
+// order.
 
 // refCombine is the sort-then-combine reference.
 func refCombine(src []byte, combine Combine) ([]byte, int64, error) {
@@ -51,21 +52,42 @@ var testCombiners = []struct {
 	}},
 }
 
-// checkHashCombine runs HashCombine and the reference on src under every
-// test combiner. HashCombine appends to a non-empty dst to pin that it
-// keeps what dst held.
-func checkHashCombine(t *testing.T, what string, src []byte) {
+// checkCombineTable feeds src's records through tb, reset first, under
+// every test combiner and compares AppendCombined with the reference.
+// Each record is added from scratch buffers that are overwritten as soon
+// as Add returns, as Context.Send reuses its codec buffers, so a table
+// that kept the caller's bytes instead of copying them fails. The output
+// is appended to a non-empty dst to pin that it keeps what dst held.
+func checkCombineTable(t *testing.T, tb *CombineTable, what string, src []byte) {
 	t.Helper()
+	recs, err := DecodeAll(src)
+	if err != nil {
+		return // a malformed frame has no records to add
+	}
+	size := 0 // not len(src): a frame may spell a length in a longer varint
+	for _, r := range recs {
+		size += r.Size()
+	}
+	var kbuf, vbuf []byte
 	for _, c := range testCombiners {
-		want, wantN, wantErr := refCombine(src, c.combine)
+		want, wantN, _ := refCombine(src, c.combine)
+		tb.Reset()
+		for _, r := range recs {
+			kbuf, vbuf = append(kbuf[:0], r.Key...), append(vbuf[:0], r.Value...)
+			tb.Add(kbuf, vbuf)
+			for i := range kbuf {
+				kbuf[i] = 0xA5
+			}
+			for i := range vbuf {
+				vbuf[i] = 0x5A
+			}
+		}
+		if tb.Len() != len(recs) || tb.Size() != size {
+			t.Fatalf("%s/%s: Len %d, Size %d; want %d records of %d bytes",
+				what, c.name, tb.Len(), tb.Size(), len(recs), size)
+		}
 		prefix := []byte("hdr")
-		got, gotN, gotErr := HashCombine(prefix, src, c.combine)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%s/%s: error %v, reference %v", what, c.name, gotErr, wantErr)
-		}
-		if wantErr != nil {
-			continue
-		}
+		got, gotN := tb.AppendCombined(prefix, c.combine)
 		if !bytes.HasPrefix(got, prefix) {
 			t.Fatalf("%s/%s: dst prefix overwritten", what, c.name)
 		}
@@ -107,8 +129,6 @@ func TestHashCombineMatchesSortCombine(t *testing.T) {
 		"one-key-repeated": frameOf(repeated...),
 		"all-distinct":     frameOf(distinct...),
 		"empty-values":     AppendRecord(AppendRecord(nil, Record{Key: []byte("x")}), Record{Key: []byte("x")}),
-		"truncated":        frameOf([]byte("abc"), []byte("d"))[:7],
-		"bad-varint":       {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
 	}
 	for _, shape := range keyShapes {
 		rng := rand.New(rand.NewSource(17))
@@ -118,16 +138,19 @@ func TestHashCombineMatchesSortCombine(t *testing.T) {
 		}
 		cases["shape-"+shape.name] = frameOf(keys...)
 	}
+	// One table serves every case, so each starts from a Reset of the last.
+	var tb CombineTable
 	for name, src := range cases {
-		checkHashCombine(t, name, src)
+		checkCombineTable(t, &tb, name, src)
 	}
 }
 
-// FuzzHashCombine checks HashCombine against sort+combine twice per input:
-// on the raw bytes as a frame (malformed frames must fail on both sides),
-// and on a frame carved from them — a length byte, then up to 12 key bytes
-// so 8-byte prefix ties are common — with values numbering the records.
-func FuzzHashCombine(f *testing.F) {
+// FuzzCombineTable checks CombineTable against sort+combine twice per
+// input: on the raw bytes when they decode as a frame, and on a frame
+// carved from them — a length byte, then up to 12 key bytes so 8-byte
+// prefix ties are common — with values numbering the records. One table
+// serves both, so the second starts from a Reset of the first.
+func FuzzCombineTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 'a', 0, 0})                                   // empty keys
 	f.Add([]byte("\x09prefix00b\x08prefix00\x09prefix00a\x08prefix00")) // shared 8-byte prefix
@@ -140,20 +163,22 @@ func FuzzHashCombine(f *testing.F) {
 	f.Add(distinct) // all distinct: the table grows several times
 	f.Add(frameOf([]byte("k"), []byte("k")))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkHashCombine(t, "raw", data)
+		var tb CombineTable
+		checkCombineTable(t, &tb, "raw", data)
 		var keys [][]byte
 		for len(data) > 0 {
 			n := min(int(data[0]%13), len(data)-1)
 			keys = append(keys, data[1:1+n])
 			data = data[1+n:]
 		}
-		checkHashCombine(t, "carved", frameOf(keys...))
+		checkCombineTable(t, &tb, "carved", frameOf(keys...))
 	})
 }
 
-// BenchmarkHashCombine combines one full WordCount SPL batch (Zipf words
-// with 8-byte counts) by hash and by sort+combine.
-func BenchmarkHashCombine(b *testing.B) {
+// BenchmarkCombineTable combines one full WordCount SPL batch (Zipf words
+// with 8-byte counts) by table — every record added, then combined — and
+// by sort+combine over the encoded batch.
+func BenchmarkCombineTable(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	zipf := rand.NewZipf(rng, 1.1, 1, 4999)
 	one := binary.BigEndian.AppendUint64(nil, 1)
@@ -161,7 +186,8 @@ func BenchmarkHashCombine(b *testing.B) {
 	for len(src) < splBatch {
 		src = AppendRecord(src, Record{Key: []byte(fmt.Sprintf("w%d", zipf.Uint64())), Value: one})
 	}
-	n, _ := CountRecords(src)
+	recs, _ := DecodeAll(src)
+	n := int64(len(recs))
 	sum := func(_ []byte, vals [][]byte) [][]byte {
 		var s uint64
 		for _, v := range vals {
@@ -169,10 +195,15 @@ func BenchmarkHashCombine(b *testing.B) {
 		}
 		return [][]byte{binary.BigEndian.AppendUint64(nil, s)}
 	}
-	b.Run("hash", func(b *testing.B) {
+	b.Run("table", func(b *testing.B) {
+		var tb CombineTable
 		var dst []byte
 		for i := 0; i < b.N; i++ {
-			dst, _, _ = HashCombine(dst[:0], src, sum)
+			tb.Reset()
+			for _, r := range recs {
+				tb.Add(r.Key, r.Value)
+			}
+			dst, _ = tb.AppendCombined(dst[:0], sum)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*n), "ns/rec")
 	})

@@ -100,14 +100,15 @@ func (cfg *ClusterConfig) worldOptions() []mpi.Option {
 	return wopts
 }
 
-// setupShmDir creates one attempt's segment directory: a fresh tmpdir
-// under parent (default mpi.ShmBaseDir()) holding the nonce file and the
-// sparse ring matrix for procs workers plus the launcher.
+// setupShmDir creates one attempt's segment directory: a fresh
+// datampi-shm-<pid>-* under parent (default mpi.ShmBaseDir(); see
+// mpi.NewShmDir) holding the nonce file and the sparse ring matrix for
+// procs workers plus the launcher.
 func setupShmDir(parent string, ranks int) (string, error) {
 	if parent == "" {
 		parent = mpi.ShmBaseDir()
 	}
-	dir, err := os.MkdirTemp(parent, "datampi-shm-")
+	dir, err := mpi.NewShmDir(parent)
 	if err != nil {
 		return "", err
 	}

@@ -42,6 +42,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -406,6 +407,22 @@ func ShmBaseDir() string {
 		return "/dev/shm"
 	}
 	return os.TempDir()
+}
+
+// NewShmDir creates an empty segment directory under parent, named
+// datampi-shm-<pid>-* after this process. It first removes every
+// datampi-shm-<pid>-* under parent whose pid names no live process: a run
+// that was killed could not remove its own. Directories without a pid in
+// their name are left alone.
+func NewShmDir(parent string) (string, error) {
+	stale, _ := filepath.Glob(filepath.Join(parent, "datampi-shm-*-*"))
+	for _, d := range stale {
+		pid, _, _ := strings.Cut(strings.TrimPrefix(filepath.Base(d), "datampi-shm-"), "-")
+		if n, err := strconv.Atoi(pid); err == nil && n > 0 && syscall.Kill(n, 0) == syscall.ESRCH {
+			os.RemoveAll(d)
+		}
+	}
+	return os.MkdirTemp(parent, fmt.Sprintf("datampi-shm-%d-", os.Getpid()))
 }
 
 // CreateShmSegments initializes dir as the segment directory for an

@@ -6,7 +6,9 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -393,4 +395,38 @@ func (g *errgroup) Wait() error {
 		}
 	}
 	return first
+}
+
+// TestNewShmDirReapsDeadRuns: a segment directory named after a process
+// that is gone (a killed run) is removed when the next one is made, while
+// one named after a live process, and one with no pid in its name, stay.
+func TestNewShmDirReapsDeadRuns(t *testing.T) {
+	parent := t.TempDir()
+	child := exec.Command(os.Args[0], "-test.run=^$")
+	if err := child.Run(); err != nil {
+		t.Fatal(err)
+	}
+	dead := filepath.Join(parent, fmt.Sprintf("datampi-shm-%d-1", child.Process.Pid))
+	live := filepath.Join(parent, fmt.Sprintf("datampi-shm-%d-2", os.Getpid()))
+	nopid := filepath.Join(parent, "datampi-shm-12345")
+	for _, d := range []string{dead, live, nopid} {
+		if err := os.MkdirAll(filepath.Join(d, "ring-0-0"), 0o700); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir, err := NewShmDir(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("datampi-shm-%d-", os.Getpid()); !strings.HasPrefix(filepath.Base(dir), want) {
+		t.Errorf("new segment directory %s, want a %s* name", dir, want)
+	}
+	if _, err := os.Stat(dead); !os.IsNotExist(err) {
+		t.Errorf("%s, named after a reaped child, was not removed (%v)", dead, err)
+	}
+	for _, d := range []string{live, nopid, dir} {
+		if _, err := os.Stat(d); err != nil {
+			t.Errorf("%s was removed: %v", d, err)
+		}
+	}
 }

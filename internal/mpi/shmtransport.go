@@ -99,7 +99,7 @@ func (s *shmState) rings() []*shmRing {
 // is an explicit opt-in, so a world that cannot honor it should say so
 // rather than silently run over loopback.
 func (t *tcpTransport) setupShmLocal() error {
-	dir, err := os.MkdirTemp(ShmBaseDir(), "datampi-shm-")
+	dir, err := NewShmDir(ShmBaseDir())
 	if err != nil {
 		return fmt.Errorf("mpi: shm segments: %w", err)
 	}
