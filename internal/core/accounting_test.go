@@ -142,3 +142,28 @@ func TestRunUserFlushesSends(t *testing.T) {
 		}
 	}
 }
+
+// mpi.bytes.sent is read after Run's teardown: the TCP writers count a
+// batch only once it is written, and the world's close drain is what
+// waits for them, so a snapshot taken before it could miss the run's last
+// sends. Twenty clean runs of one TeraSort-shaped job must read the same
+// byte count, every sent byte received.
+func TestMPIBytesSentSettled(t *testing.T) {
+	var want int64
+	for i := 0; i < 20; i++ {
+		var out identityOutput
+		res, err := Run(identityJob("terasort", 500, &out), WithTCPTransport())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent, recv := res.RuntimeCounters["mpi.bytes.sent"], res.RuntimeCounters["mpi.bytes.received"]
+		if sent != recv {
+			t.Errorf("run %d: mpi.bytes.sent %d, mpi.bytes.received %d", i, sent, recv)
+		}
+		if i == 0 {
+			want = sent
+		} else if sent != want {
+			t.Errorf("run %d: mpi.bytes.sent %d, run 0 read %d", i, sent, want)
+		}
+	}
+}

@@ -223,12 +223,9 @@ func identityJob(shape string, n int, out *identityOutput) *Job {
 }
 
 // workCounter reports whether the two paths must agree on a counter.
-// mpi.bytes.sent is left out: the end-of-run snapshot can miss the last
-// sends (seen on both mem and TCP), while every received byte is counted
-// before the run ends.
 func workCounter(name string) bool {
 	return strings.HasPrefix(name, "shuffle.") || strings.HasPrefix(name, "combine.") ||
-		name == "mpi.bytes.received"
+		name == "mpi.bytes.sent" || name == "mpi.bytes.received"
 }
 
 type identityRun struct {

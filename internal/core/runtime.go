@@ -208,7 +208,12 @@ func RunContext(ctx context.Context, job *Job, opts ...RunOption) (*Result, erro
 	if err := rt.setup(); err != nil {
 		return nil, rt.runError("setup", err)
 	}
-	defer rt.teardown()
+	tornDown := false
+	defer func() {
+		if !tornDown {
+			rt.teardown()
+		}
+	}()
 	rt.res.SetupTime = time.Since(start)
 	if job.Progress != nil {
 		job.Progress.SetTotals(job.NumO*job.Rounds, job.NumA*job.Rounds)
@@ -227,6 +232,11 @@ func RunContext(ctx context.Context, job *Job, opts ...RunOption) (*Result, erro
 	rt.res.RecordsSent = rt.sent.Load()
 	rt.res.BytesShuffled = rt.bytesShuffled.Load()
 	rt.res.SpilledBytes = rt.spilledBytes.Load()
+	// Snapshot the counters only once teardown has joined the process
+	// goroutines and the world's close drain has let the async writers
+	// count their last batches; earlier, mpi.bytes.sent can miss them.
+	tornDown = true
+	rt.teardown()
 	rt.res.RuntimeCounters = rt.ctrs.snapshot(rt.world.Stats())
 	// In a distributed run the shuffle happened inside the worker
 	// processes; fold the counters their byes carried into the result.

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func benchWorld(b *testing.B, n int, tcp bool) *World {
 	b.Helper()
@@ -48,40 +45,3 @@ func BenchmarkP2PSmallMem(b *testing.B) { benchP2P(b, false, 64) }
 func BenchmarkP2PSmallTCP(b *testing.B) { benchP2P(b, true, 64) }
 func BenchmarkP2PLargeMem(b *testing.B) { benchP2P(b, false, 256<<10) }
 func BenchmarkP2PLargeTCP(b *testing.B) { benchP2P(b, true, 256<<10) }
-
-func BenchmarkBarrier8(b *testing.B) {
-	w := benchWorld(b, 8, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for r := 0; r < 8; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				w.Comm(r).Barrier()
-			}(r)
-		}
-		wg.Wait()
-	}
-}
-
-func BenchmarkAlltoall4(b *testing.B) {
-	w := benchWorld(b, 4, false)
-	send := make([][]byte, 4)
-	for j := range send {
-		send[j] = make([]byte, 16<<10)
-	}
-	b.SetBytes(4 * 16 << 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for r := 0; r < 4; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				w.Comm(r).Alltoall(send)
-			}(r)
-		}
-		wg.Wait()
-	}
-}

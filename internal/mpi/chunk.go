@@ -4,7 +4,7 @@ import "encoding/binary"
 
 // Chunked transfer: the BigMPI strategy under the progress engine. A
 // message whose payload exceeds the world's chunk threshold never hits
-// the wire as one frame — Comm.send splits it into sequenced CHNK
+// the wire as one frame — Comm.Send splits it into sequenced CHNK
 // continuation frames (tagChunk), each carrying a sub-header naming the
 // original tag, a sender-unique message id, and this chunk's position,
 // and the receive demux (World.route) reassembles them back into the
@@ -19,7 +19,7 @@ import "encoding/binary"
 
 // tagChunk is the reserved system tag of continuation frames. Negative
 // tags never match AnyTag, so chunk frames are invisible to user
-// receives; the collectives use -2..-13, leaving this far clear.
+// receives; it is the only negative tag the library sends.
 const tagChunk = -64
 
 // chunkHdrSize is the continuation frame's sub-header, prepended to each

@@ -1,11 +1,12 @@
 // Package mpi is a from-scratch MPI-like message-passing library in pure Go.
 // It stands in for the native MPI (MVAPICH2) that DataMPI builds on in the
-// paper: communicators with ranks, tagged blocking and nonblocking
-// point-to-point messaging with MPI matching semantics (FIFO per
-// source/tag, ANY_SOURCE / ANY_TAG wildcards), common collectives, simple
-// intercommunicators, and two interchangeable transports — in-memory
-// channels and real TCP loopback sockets. Transfers can be charged to a
-// netsim.Link so experiments can be run "on" 1GigE, 10GigE or InfiniBand.
+// paper, and carries only what DataMPI uses of it: communicators with
+// ranks, tagged blocking point-to-point messaging with MPI matching
+// semantics (FIFO per source/tag, ANY_SOURCE / ANY_TAG wildcards), simple
+// intercommunicators, and interchangeable transports — in-memory
+// channels, real TCP loopback sockets and shared-memory rings. Transfers
+// can be charged to a netsim.Link so experiments can be run "on" 1GigE,
+// 10GigE or InfiniBand.
 package mpi
 
 import (
@@ -21,7 +22,7 @@ import (
 )
 
 // Wildcards for Recv. User tags must be non-negative; negative tags are
-// reserved for the library's collectives.
+// reserved for the library's own frames (chunk continuations, chunk.go).
 const (
 	AnySource = -1
 	AnyTag    = -1
@@ -81,10 +82,6 @@ type World struct {
 	nextID  uint32
 	closed  bool
 	closeWG sync.WaitGroup
-
-	handleMu   sync.Mutex
-	handles    map[int]*Comm
-	nextTicket int
 
 	deadMu sync.Mutex
 	dead   map[int]bool // world ranks marked dead by the fault layer
@@ -439,28 +436,6 @@ func (w *World) ReplaceRank(worldRank int, addr string) error {
 	return nil
 }
 
-// registerHandle parks a communicator handle for pickup by another rank
-// (used by Split to distribute the per-rank handles it creates).
-func (w *World) registerHandle(c *Comm) int {
-	w.handleMu.Lock()
-	defer w.handleMu.Unlock()
-	if w.handles == nil {
-		w.handles = map[int]*Comm{}
-	}
-	w.nextTicket++
-	w.handles[w.nextTicket] = c
-	return w.nextTicket
-}
-
-// takeHandle redeems a ticket from registerHandle.
-func (w *World) takeHandle(ticket int) *Comm {
-	w.handleMu.Lock()
-	defer w.handleMu.Unlock()
-	c := w.handles[ticket]
-	delete(w.handles, ticket)
-	return c
-}
-
 // proc is one world rank's endpoint state.
 type proc struct {
 	world *World
@@ -488,9 +463,6 @@ func (c *Comm) Rank() int { return c.myRank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.ranks) }
 
-// WorldRank returns the world rank backing comm rank r.
-func (c *Comm) WorldRank(r int) int { return c.ranks[r] }
-
 // Send sends data to comm rank dst with the given tag. Blocking semantics
 // follow MPI's standard mode: the call may return once the message is
 // buffered; data may be reused (or recycled into a pool) as soon as Send
@@ -502,10 +474,6 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	if tag < 0 {
 		return fmt.Errorf("mpi: user tag %d must be >= 0", tag)
 	}
-	return c.send(dst, tag, data)
-}
-
-func (c *Comm) send(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= len(c.ranks) {
 		return fmt.Errorf("mpi: send to rank %d of %d", dst, len(c.ranks))
 	}
@@ -593,19 +561,6 @@ func (c *Comm) recvWait(src, tag int, cancel <-chan struct{}, cause func() error
 		}
 		c.cond.Wait()
 	}
-}
-
-// Probe reports whether a message matching (src, tag) is available without
-// receiving it.
-func (c *Comm) Probe(src, tag int) (Status, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, f := range c.queue {
-		if matches(f, src, tag) {
-			return Status{Source: int(f.srcRank), Tag: int(f.tag)}, true
-		}
-	}
-	return Status{}, false
 }
 
 func matches(f frame, src, tag int) bool {

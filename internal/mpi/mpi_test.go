@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"datampi/internal/fault"
+	"datampi/internal/netsim"
 )
 
 // parityCases is the transport-parity matrix: every test body runs on the
@@ -180,6 +181,35 @@ func TestNegativeUserTagRejected(t *testing.T) {
 	})
 }
 
+// TestAnyTagIgnoresSystemTags feeds rank 1 a frame with a negative tag
+// other than tagChunk, as a corrupt remote frame would arrive, ahead of a
+// user message on the same stream: an AnyTag receive must skip it and
+// return the user message, leaving the stray frame queued.
+func TestAnyTagIgnoresSystemTags(t *testing.T) {
+	runBoth(t, 2, func(t *testing.T, w *World) {
+		const stray = -7
+		if err := w.tr.send(0, 1, frame{comm: 0, srcRank: 0, tag: stray, data: []byte("sys")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Comm(0).Send(1, 0, []byte("user")); err != nil {
+			t.Fatal(err)
+		}
+		c := w.Comm(1)
+		data, st, err := c.Recv(AnySource, AnyTag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != "user" || st.Tag != 0 {
+			t.Errorf("AnyTag matched %q tag %d", data, st.Tag)
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if len(c.queue) != 1 || c.queue[0].tag != stray {
+			t.Errorf("queue after AnyTag receive: %d frames, want the stray frame alone", len(c.queue))
+		}
+	})
+}
+
 func TestSendOutOfRange(t *testing.T) {
 	runBoth(t, 2, func(t *testing.T, w *World) {
 		if err := w.Comm(0).Send(5, 0, nil); err == nil {
@@ -198,89 +228,6 @@ func TestLargeMessage(t *testing.T) {
 		}
 		if !bytes.Equal(data, big) {
 			t.Error("large message corrupted")
-		}
-	})
-}
-
-func TestProbe(t *testing.T) {
-	runBoth(t, 2, func(t *testing.T, w *World) {
-		if _, ok := w.Comm(1).Probe(0, 9); ok {
-			t.Error("probe matched nothing sent")
-		}
-		if err := w.Comm(0).Send(1, 9, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			if st, ok := w.Comm(1).Probe(0, 9); ok {
-				if st.Tag != 9 {
-					t.Errorf("probe status %+v", st)
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("probe never matched")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		// Message still receivable after probe.
-		if _, _, err := w.Comm(1).Recv(0, 9); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestIsendIrecv(t *testing.T) {
-	runBoth(t, 2, func(t *testing.T, w *World) {
-		reqR := w.Comm(1).Irecv(0, 4)
-		buf := []byte("payload")
-		reqS := w.Comm(0).Isend(1, 4, buf)
-		copy(buf, "garbage") // Isend must have copied
-		if _, _, err := reqS.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		data, st, err := reqR.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(data) != "payload" || st.Source != 0 {
-			t.Errorf("got %q %+v", data, st)
-		}
-	})
-}
-
-func TestRequestTest(t *testing.T) {
-	runBoth(t, 2, func(t *testing.T, w *World) {
-		req := w.Comm(1).Irecv(0, 8)
-		if _, _, done, _ := req.Test(); done {
-			t.Error("request done before message sent")
-		}
-		w.Comm(0).Send(1, 8, []byte("z"))
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			if data, _, done, err := req.Test(); done {
-				if err != nil || string(data) != "z" {
-					t.Errorf("test result %q %v", data, err)
-				}
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("request never completed")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	})
-}
-
-func TestWaitAll(t *testing.T) {
-	runBoth(t, 2, func(t *testing.T, w *World) {
-		var reqs []*Request
-		for i := 0; i < 10; i++ {
-			reqs = append(reqs, w.Comm(0).Isend(1, i, []byte{byte(i)}))
-			reqs = append(reqs, w.Comm(1).Irecv(0, i))
-		}
-		if err := WaitAll(reqs...); err != nil {
-			t.Fatal(err)
 		}
 	})
 }
@@ -482,4 +429,75 @@ func (l *localRand) next() uint64 {
 	l.state ^= l.state >> 7
 	l.state ^= l.state << 17
 	return l.state
+}
+
+func TestIntercomm(t *testing.T) {
+	runBoth(t, 5, func(t *testing.T, w *World) {
+		// Group L = {0}, group R = {1,2,3,4}: mpidrun and its workers.
+		ics, err := NewIntercomm(w, []int{0}, []int{1, 2, 3, 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		master := ics[0]
+		if master.RemoteSize() != 4 {
+			t.Fatalf("remote size %d, want 4", master.RemoteSize())
+		}
+		var wg sync.WaitGroup
+		for wr := 1; wr <= 4; wr++ {
+			wg.Add(1)
+			go func(wr int) {
+				defer wg.Done()
+				ic := ics[wr]
+				data, st, err := ic.Recv(0, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if st.Source != 0 {
+					t.Errorf("worker saw source %d", st.Source)
+				}
+				ic.Send(0, 2, append([]byte("ack:"), data...))
+			}(wr)
+		}
+		for r := 0; r < 4; r++ {
+			if err := master.Send(r, 1, []byte{byte(r)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := map[byte]bool{}
+		for i := 0; i < 4; i++ {
+			data, st, err := master.Recv(AnySource, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Source < 0 || st.Source >= 4 {
+				t.Errorf("master saw remote source %d", st.Source)
+			}
+			got[data[4]] = true
+		}
+		wg.Wait()
+		if len(got) != 4 {
+			t.Errorf("acks from %d workers", len(got))
+		}
+	})
+}
+
+func TestWithLinkAccounting(t *testing.T) {
+	link := netsim.NewLink(netsim.Unlimited)
+	w, err := NewWorld(2, WithLink(link))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	go w.Comm(0).Send(1, 0, make([]byte, 1000))
+	if _, _, err := w.Comm(1).Recv(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	s := link.Stats()
+	if s.PayloadBytes != 1000 {
+		t.Errorf("link payload = %d, want 1000", s.PayloadBytes)
+	}
+	if s.OverheadBytes == 0 {
+		t.Error("no protocol overhead charged")
+	}
 }
