@@ -288,18 +288,28 @@ func decodePayload(b []byte) (partition int, reverse, valueChunk bool, task int,
 	return partition, reverse, valueChunk, task, idx, b[frameHeaderLen-framePartOff:], nil
 }
 
+// prepScratch is one prepare worker's working memory, kept across the
+// frames it prepares (and across collections, unlike a sync.Pool).
+type prepScratch struct {
+	recs   []kv.Record // record headers on the decode path
+	sorter kv.FrameSorter
+}
+
 // prepareFrame turns a sealed item into the frame to transmit, sorted
 // and combined according to the config, and marks it prepared.
 //
 // A sealed combine table is combined straight into a fresh pooled frame
 // (kv.CombineTable.AppendCombined) and recycled; in steady state that
-// allocates nothing beyond what the combiner does. A frame is decoded,
-// sorted and combined under the config's Compare into a fresh pooled frame
-// (the records alias the input, so the reorder cannot be done in place),
-// with scratch carrying the record headers across calls, and recycled.
-// Both produce the same bytes whenever both apply. When the config needs
-// neither sort nor combine the input frame is returned as is.
-func prepareFrame(cfg *Config, item *sendItem, scratch *[]kv.Record) error {
+// allocates nothing beyond what the combiner does. A frame sorted in
+// raw-byte order with no combiner (TeraSort) stays bytes: kv.SortFramed
+// sorts rows built from the frame and copies each record once into a
+// fresh pooled frame. Any other frame is decoded into records, sorted and
+// combined under the config's Compare, and re-encoded into a fresh pooled
+// frame. Either way the records alias the input, so the reorder cannot be
+// done in place, and the input is recycled. All three produce the same
+// bytes whenever more than one applies. When the config needs neither
+// sort nor combine the input frame is returned as is.
+func prepareFrame(cfg *Config, item *sendItem, scratch *prepScratch) error {
 	item.prepared = true
 	if t := item.table; t != nil {
 		item.data, item.records = t.AppendCombined(getFrame(), cfg.Combine)
@@ -311,11 +321,21 @@ func prepareFrame(cfg *Config, item *sendItem, scratch *[]kv.Record) error {
 	if !cfg.sorted() && cfg.Combine == nil {
 		return nil
 	}
-	recs, err := kv.DecodeAllInto((*scratch)[:0], frame[frameHeaderLen:])
+	if cfg.Compare == nil && cfg.Combine == nil {
+		out, n, err := scratch.sorter.SortFramed(getFrame(), frame[frameHeaderLen:])
+		if err != nil {
+			putFrame(out)
+			return err
+		}
+		putFrame(frame)
+		item.data, item.records = out, int64(n)
+		return nil
+	}
+	recs, err := kv.DecodeAllInto(scratch.recs[:0], frame[frameHeaderLen:])
 	if err != nil {
 		return err
 	}
-	*scratch = recs
+	scratch.recs = recs
 	kv.SortRecords(recs, cfg.Compare)
 	if cfg.Combine != nil {
 		recs = kv.ApplyCombine(recs, cfg.compare(), cfg.Combine)

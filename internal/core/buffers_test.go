@@ -100,7 +100,7 @@ func TestPrepareFrameHashCombineAllocsNothing(t *testing.T) {
 	cfg := &Config{Combine: maxCount}
 	s := newSPL(1, defaultSPLBytes)
 	s.tables = true
-	var scratch []kv.Record
+	var scratch prepScratch
 	seal := func() {
 		for _, r := range recs {
 			sealed := s.add(0, r)
@@ -164,37 +164,47 @@ func teraFrame(size int) []byte {
 
 // Sorting a full default-size TeraSort frame into a 4 KiB pooled frame
 // allocates once: the output is reserved at the input's length, not grown
-// through append's doublings.
+// through append's doublings. That holds on the framed path (no Compare:
+// kv.SortFramed, its rows kept in the worker's scratch) and on the decode
+// path a custom Compare takes.
 func TestPrepareFrameSortedAllocsOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	const runs = 20
 	src := teraFrame(defaultSPLBytes)
-	// The input is built past maxPooledFrame so prepareFrame's recycle
-	// drops it, and the output is never recycled: every run starts from a
-	// fresh 4 KiB frame put into the pool, like a first use of the pool.
-	// Each small frame is put once, so no two gets ever share one.
-	in := append(make([]byte, 0, maxPooledFrame+1), src...)
-	smalls := make([][]byte, runs+2)
-	for i := range smalls {
-		smalls[i] = make([]byte, frameHeaderLen, 4<<10)
-	}
-	cfg := &Config{}
-	cfg.Normalize(MapReduce)
-	var scratch []kv.Record
-	prepare := func() {
-		putFrame(smalls[0])
-		smalls = smalls[1:]
-		item := sendItem{data: in}
-		err := prepareFrame(cfg, &item, &scratch)
-		if err != nil || item.records == 0 || len(item.data) != len(src) {
-			t.Fatalf("prepareFrame: %d records, %d of %d bytes, %v", item.records, len(item.data), len(src), err)
-		}
-	}
-	prepare()
-	if allocs := allocsPerRunNoGC(runs, prepare); allocs > 1 {
-		t.Fatalf("prepareFrame allocated %v times per frame, want at most 1", allocs)
+	for _, tc := range []struct {
+		name string
+		cmp  kv.Compare
+	}{{"framed", nil}, {"compare", kv.DefaultCompare}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The input is built past maxPooledFrame so prepareFrame's
+			// recycle drops it, and the output is never recycled: every run
+			// starts from a fresh 4 KiB frame put into the pool, like a
+			// first use of the pool. Each small frame is put once, so no
+			// two gets ever share one.
+			in := append(make([]byte, 0, maxPooledFrame+1), src...)
+			smalls := make([][]byte, runs+2)
+			for i := range smalls {
+				smalls[i] = make([]byte, frameHeaderLen, 4<<10)
+			}
+			cfg := &Config{Compare: tc.cmp}
+			cfg.Normalize(MapReduce)
+			var scratch prepScratch
+			prepare := func() {
+				putFrame(smalls[0])
+				smalls = smalls[1:]
+				item := sendItem{data: in}
+				err := prepareFrame(cfg, &item, &scratch)
+				if err != nil || item.records == 0 || len(item.data) != len(src) {
+					t.Fatalf("prepareFrame: %d records, %d of %d bytes, %v", item.records, len(item.data), len(src), err)
+				}
+			}
+			prepare()
+			if allocs := allocsPerRunNoGC(runs, prepare); allocs > 1 {
+				t.Fatalf("prepareFrame allocated %v times per frame, want at most 1", allocs)
+			}
+		})
 	}
 }
 

@@ -20,17 +20,20 @@ import (
 )
 
 // Fast-path identity: a job that leaves Compare unset sorts and merges in
-// raw-byte order through kv's key-prefix column, and combines as it emits,
-// each SPL partition a kv.CombineTable; the same job with Compare set to
-// an equivalent closure takes the generic comparator path, encoding every
-// record into the SPL and sorting before it combines. Both must deliver
-// the same records in the same order — including the order of equal keys,
-// which NextGroup exposes as value order — count the same work and move
-// the same bytes, commit byte-identical checkpoint chunks, and give every
-// byte charged to the memory gauge back, through the plain shuffle, the
-// spill and compaction merges, a checkpoint crash/restart, the serial
-// O side (OSidePipelineOff), and a raw Streaming job whose frames seal
-// by record count.
+// raw-byte order through kv's key-prefix column; without a combiner (the
+// terasort shape) each sealed frame stays bytes and is sorted by
+// kv.SortFramed, and with one it combines as it emits, each SPL partition
+// a kv.CombineTable. The same job with Compare set to an equivalent
+// closure takes the generic comparator path, decoding every frame into
+// records, or encoding every record into the SPL, and sorting before it
+// combines. Both must deliver the same records in the same order —
+// including the order of equal keys, which NextGroup exposes as value
+// order — count the same work and move the same bytes, commit
+// byte-identical checkpoint chunks, and give every byte charged to the
+// memory gauge back, through the plain shuffle, the spill and compaction
+// merges, a checkpoint crash/restart, the serial O side
+// (OSidePipelineOff), and a raw Streaming job whose frames seal by record
+// count.
 //
 // Every job has one O task, one merge worker and one partition per
 // process, so the runs each partition receives arrive, spill and compact

@@ -55,9 +55,9 @@ type process struct {
 	// OSidePipelineOff; the pipeline stages never take it (they have their
 	// own single-goroutine owners).
 	sendMu sync.Mutex
-	// prepScratch amortizes prepare decoding on the serial path (guarded
-	// by sendMu).
-	prepScratch []kv.Record
+	// prepScratch is the serial path's prepare memory (guarded by
+	// sendMu).
+	prepScratch prepScratch
 	// committer is the background checkpoint committer; nil exactly when
 	// fault tolerance is off.
 	committer *cpCommitter
@@ -289,7 +289,7 @@ func (p *process) senderLoop() {
 // stage restores submission order.
 func (p *process) prepareWorker(w int) {
 	defer p.wg.Done()
-	var scratch []kv.Record
+	var scratch prepScratch
 	for ps := range p.prepQ {
 		start := p.tb.Start()
 		in, err := p.prepare(&ps.item, &scratch)
@@ -306,7 +306,7 @@ func (p *process) prepareWorker(w int) {
 
 // prepare runs prepareFrame on one item, charged to the busy tracker, and
 // counts its combine work; it returns the record count the item sealed.
-func (p *process) prepare(item *sendItem, scratch *[]kv.Record) (int64, error) {
+func (p *process) prepare(item *sendItem, scratch *prepScratch) (int64, error) {
 	if p.rt.job.Busy != nil {
 		defer p.rt.job.Busy.Track()()
 	}

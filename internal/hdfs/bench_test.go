@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"datampi/internal/diskio"
+	"datampi/internal/kv"
 )
 
 func benchFS(b *testing.B, nodes int, blockSize int64) *FileSystem {
@@ -99,5 +100,39 @@ func BenchmarkReadLinesInSplit(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkWriteRecords writes 100-byte TeraSort records (10-byte key,
+// 90-byte value) through a kv.Writer into an hdfs.Writer, as a TeraSort
+// A task writes its part file: 16 MiB per op over 4 MiB blocks, so
+// records straddle packets and blocks.
+func BenchmarkWriteRecords(b *testing.B) {
+	fs := benchFS(b, 3, 4<<20)
+	rec := kv.Record{Key: make([]byte, 10), Value: make([]byte, 90)}
+	n := (16 << 20) / rec.Size()
+	b.SetBytes(int64(n * rec.Size()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := fs.Create("/part", 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := kv.NewWriter(out)
+		for j := 0; j < n; j++ {
+			rec.Key[0] = byte(j)
+			if err := w.Write(rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := out.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := fs.Delete("/part"); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

@@ -219,7 +219,8 @@ func (fs *FileSystem) pickHosts(preferred int) []int {
 // are opened at its first packet, each full packet is checksummed and
 // written to every replica, and the block's metadata is published only
 // after its last packet, so a reader never sees a partial block. A write
-// that covers a whole packet sends it without copying it.
+// that covers a whole packet sends it without copying it, and bytes
+// appended in place to AvailableBuffer are staged without copying them.
 //
 // Any failure removes the replica files of the block being written and
 // poisons the Writer. A Writer that is neither closed nor failed holds its
@@ -275,11 +276,30 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return n, nil
 }
 
+// AvailableBuffer returns an empty buffer over the free space of the
+// staged packet, as bufio.Writer's does: a caller may append up to its
+// capacity and pass the result to Write, which stages those bytes where
+// they already are. Its capacity never reaches past the packet being
+// staged. The buffer is valid only until the next Write.
+func (w *Writer) AvailableBuffer() []byte {
+	if w.err != nil || w.closed {
+		return nil
+	}
+	pkt := int(min(int64(packet), w.fs.cfg.BlockSize-w.blkLen))
+	return w.buf[len(w.buf):len(w.buf):min(pkt, cap(w.buf))]
+}
+
 // stage appends p to the staging buffer. The buffer starts at minStageBuf
 // and then holds one packet (or one block, if that is smaller); it never
-// grows past that.
+// grows past that. A p that AvailableBuffer's caller appended in place is
+// already there, and is taken without a copy.
 func (w *Writer) stage(p []byte) {
-	if need := len(w.buf) + len(p); need > cap(w.buf) {
+	need := len(w.buf) + len(p)
+	if need <= cap(w.buf) && len(p) > 0 && &w.buf[:need][len(w.buf)] == &p[0] {
+		w.buf = w.buf[:need]
+		return
+	}
+	if need > cap(w.buf) {
 		c := int(min(int64(packet), w.fs.cfg.BlockSize))
 		if need <= minStageBuf {
 			c = min(c, minStageBuf)

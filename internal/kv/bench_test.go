@@ -141,7 +141,9 @@ func teraRuns(runs, per int) [][]Record {
 const splBatch = 256 << 10
 
 // BenchmarkSortTera sorts one full SPL batch of TeraSort records in
-// raw-byte order (the prefix column) and through a Compare func value.
+// raw-byte order (the prefix column) and through a Compare func value, as
+// decoded records, and in raw-byte order as one framed buffer
+// (SortFramed into a reused output), as the prepare stage sorts it.
 func BenchmarkSortTera(b *testing.B) {
 	base := teraRuns(1, splBatch/100)[0]
 	rand.New(rand.NewSource(2)).Shuffle(len(base), func(i, j int) { base[i], base[j] = base[j], base[i] })
@@ -158,6 +160,24 @@ func BenchmarkSortTera(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(base)), "ns/rec")
 		})
 	}
+	b.Run("framed", func(b *testing.B) {
+		var frame []byte
+		for _, r := range base {
+			frame = AppendRecord(frame, r)
+		}
+		var s FrameSorter
+		out := make([]byte, 0, len(frame))
+		b.SetBytes(int64(len(frame)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if out, _, err = s.SortFramed(out[:0], frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(base)), "ns/rec")
+	})
 }
 
 // BenchmarkMergeTera merges the runs one TeraSort A task sees at the

@@ -121,21 +121,45 @@ func needBytes(have int, more uint64) int {
 // HDFS output). It does not buffer: every Write hands one whole framed
 // record to the underlying writer before returning, so closing the
 // underlying writer is all a caller needs to do. Callers wanting fewer
-// syscalls put the buffer underneath (a bufio.Writer they flush, or an
-// hdfs.Writer, which buffers blocks itself).
+// syscalls put the buffer underneath: a bufio.Writer they flush, or an
+// hdfs.Writer, which stages one 256 KiB packet.
+//
+// A writer with a bufio-style AvailableBuffer (bufio.Writer, bytes.Buffer,
+// hdfs.Writer) gets each record encoded straight into its free space, so
+// the record's bytes are written once. A record that does not fit there
+// is encoded into the Writer's own buffer, which is reused across records.
 type Writer struct {
-	w   io.Writer
-	buf []byte
-	n   int64 // records written
+	w     io.Writer
+	avail availableBuffer // w's AvailableBuffer, or nil
+	buf   []byte
+	n     int64 // records written
+}
+
+// availableBuffer is bufio.Writer's AvailableBuffer: an empty slice over
+// the writer's free space, which a caller appends to and passes to Write.
+type availableBuffer interface {
+	AvailableBuffer() []byte
 }
 
 // NewWriter returns a record Writer over w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+func NewWriter(w io.Writer) *Writer {
+	ab, _ := w.(availableBuffer)
+	return &Writer{w: w, avail: ab}
+}
 
 // Write appends one record.
 func (w *Writer) Write(r Record) error {
-	w.buf = AppendRecord(w.buf[:0], r)
-	if _, err := w.w.Write(w.buf); err != nil {
+	var buf []byte
+	if w.avail != nil {
+		buf = w.avail.AvailableBuffer()
+	}
+	if cap(buf) >= r.Size() {
+		buf = AppendRecord(buf, r)
+	} else {
+		w.buf = AppendRecord(w.buf[:0], r)
+		buf = w.buf
+	}
+	if _, err := w.w.Write(buf); err != nil {
 		return err
 	}
 	w.n++
@@ -361,16 +385,41 @@ func sameKeys(run []prefixIdx, key func(int32) []byte) bool {
 	return true
 }
 
+// rowSort is the raw-order sort's working memory, shared by SortRecords
+// and SortFramed: one (key prefix, index) row per record, in record order,
+// and the radix sort's second row buffer. An index is whatever locates
+// the record and grows in record order: SortRecords uses its position in
+// the slice, SortFramed its offset in the frame. Either way equal keys
+// keep record order.
+type rowSort struct {
+	rows, buf []prefixIdx
+}
+
+// reset empties the rows for a new batch, keeping their memory.
+func (s *rowSort) reset() { s.rows = s.rows[:0] }
+
+// add appends the row of the next record: its key and its index.
+func (s *rowSort) add(key []byte, idx int32) {
+	s.rows = append(s.rows, prefixIdx{pfx: keyPrefix(key), idx: idx})
+}
+
+// sort orders the rows added since reset (sortRows); key returns the key
+// of the record at idx. The result is valid until the next add.
+func (s *rowSort) sort(key func(int32) []byte) []prefixIdx {
+	if cap(s.buf) < len(s.rows) {
+		s.buf = make([]prefixIdx, cap(s.rows))
+	}
+	return sortRows(s.rows, s.buf[:len(s.rows)], key)
+}
+
 // sortScratch is SortRecords' reusable working memory: the permutation
-// being sorted (an index column, or prefix+index rows and the radix
-// sort's second row buffer in raw-byte order) and the buffer the
-// permutation is applied through. Pooled because the hot path sorts one
-// SPL batch per flush.
+// being sorted (an index column, or rows in raw-byte order) and the
+// buffer the permutation is applied through. Pooled because the hot path
+// sorts one SPL batch per flush.
 type sortScratch struct {
-	idx     []int32
-	rows    []prefixIdx
-	rowsBuf []prefixIdx
-	tmp     []Record
+	idx  []int32
+	rows rowSort
+	tmp  []Record
 }
 
 var sortScratchPool sync.Pool
@@ -408,15 +457,11 @@ func SortRecords(recs []Record, cmp Compare) {
 	}
 	tmp := s.tmp[:n]
 	if cmp == nil {
-		if cap(s.rows) < n {
-			s.rows, s.rowsBuf = make([]prefixIdx, n), make([]prefixIdx, n)
+		s.rows.reset()
+		for i, r := range recs {
+			s.rows.add(r.Key, int32(i))
 		}
-		rows := s.rows[:n]
-		for i := range rows {
-			rows[i] = prefixIdx{pfx: keyPrefix(recs[i].Key), idx: int32(i)}
-		}
-		rows = sortRows(rows, s.rowsBuf, func(i int32) []byte { return recs[i].Key })
-		for i, r := range rows {
+		for i, r := range s.rows.sort(func(i int32) []byte { return recs[i].Key }) {
 			tmp[i] = recs[r.idx]
 		}
 	} else {
@@ -442,6 +487,81 @@ func SortRecords(recs []Record, cmp Compare) {
 	// the sorted batch's backing arrays until its next use.
 	clear(tmp)
 	sortScratchPool.Put(s)
+}
+
+// FrameSorter is SortFramed's reusable working memory. The zero value is
+// ready to use. A FrameSorter is not safe for concurrent use; a caller
+// sorting on several goroutines keeps one per goroutine, which also keeps
+// its memory across garbage collections, as a sync.Pool would not.
+type FrameSorter struct {
+	rows rowSort // a row's index is its record's offset in the frame
+}
+
+// SortFramed is FrameSorter.SortFramed on a fresh FrameSorter.
+func SortFramed(dst, src []byte) ([]byte, int, error) {
+	var s FrameSorter
+	return s.SortFramed(dst, src)
+}
+
+// SortFramed appends the records of the framed buffer src to dst in
+// raw-byte key order, equal keys in their order in src, and returns the
+// extended dst and the record count. The bytes are those of DecodeAll,
+// SortRecords(recs, nil) and AppendRecord, but no Record is built: the
+// rows are built from the frame bytes, sorted (sortRows), and each
+// record's bytes are copied to dst once, after growing dst by len(src).
+// It fails exactly when DecodeAll(src) does, and then returns dst as is.
+func (s *FrameSorter) SortFramed(dst, src []byte) ([]byte, int, error) {
+	if len(src) > math.MaxInt32 {
+		return sortDecoded(dst, src)
+	}
+	s.rows.reset()
+	for off := 0; off < len(src); {
+		key, n, err := recordKey(src[off:])
+		if err != nil {
+			return dst, 0, err
+		}
+		s.rows.add(key, int32(off))
+		off += n
+	}
+	// Every record parsed above, so the re-parses below cannot fail.
+	rows := s.rows.sort(func(off int32) []byte {
+		key, _, _ := recordKey(src[off:])
+		return key
+	})
+	dst = slices.Grow(dst, len(src))
+	for _, r := range rows {
+		_, n, _ := recordKey(src[r.idx:])
+		dst = append(dst, src[r.idx:int(r.idx)+n]...)
+	}
+	return dst, len(rows), nil
+}
+
+// recordKey is ReadRecord for a caller that needs only the key and the
+// record's length, with a fast path for one-byte length varints.
+func recordKey(b []byte) (key []byte, n int, err error) {
+	if len(b) >= 2 && b[0] < 0x80 {
+		if k := 1 + int(b[0]); k < len(b) && b[k] < 0x80 {
+			if end := k + 1 + int(b[k]); end <= len(b) {
+				return b[1:k], end, nil
+			}
+		}
+	}
+	rec, n, err := ReadRecord(b)
+	return rec.Key, n, err
+}
+
+// sortDecoded is SortFramed for a frame too long for int32 offsets.
+func sortDecoded(dst, src []byte) ([]byte, int, error) {
+	recs, err := DecodeAll(src)
+	if err != nil {
+		return dst, 0, err
+	}
+	SortRecords(recs, nil)
+	dst = slices.Grow(dst, len(src))
+	for _, r := range recs {
+		dst = AppendRecord(dst, r)
+	}
+	return dst, len(recs), nil
 }
 
 // Partition is the partitioner signature (the paper's MPI_D_Partition):

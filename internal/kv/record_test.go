@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"testing"
@@ -169,5 +170,75 @@ func TestWriterWritesThrough(t *testing.T) {
 	}
 	if w.Count() != int64(len(recs)) {
 		t.Errorf("Count = %d, want %d", w.Count(), len(recs))
+	}
+}
+
+// writerRecords are records of every size class: empty, short, with
+// two-byte length varints, and longer than a small sink's buffer.
+func writerRecords() []Record {
+	return []Record{
+		{Key: []byte("k1"), Value: []byte("v1")},
+		{},
+		{Key: bytes.Repeat([]byte{'x'}, 300), Value: []byte("long key")},
+		{Key: []byte("k2"), Value: bytes.Repeat([]byte{'v'}, 200)},
+		{Key: []byte("k3"), Value: bytes.Repeat([]byte{'w'}, 5000)},
+		{Key: []byte("k4")},
+	}
+}
+
+// A Writer over a sink with AvailableBuffer (bufio.Writer, bytes.Buffer)
+// encodes records into the sink's free space, or into its own buffer when
+// a record does not fit there; either way the sink ends up holding the
+// concatenated framed records.
+func TestWriterAvailableBufferSinks(t *testing.T) {
+	var want []byte
+	for range 20 {
+		for _, r := range writerRecords() {
+			want = AppendRecord(want, r)
+		}
+	}
+	var direct bytes.Buffer
+	var viaBufio bytes.Buffer
+	bw := bufio.NewWriterSize(&viaBufio, 256)
+	for name, sink := range map[string]io.Writer{"bytes.Buffer": &direct, "bufio.Writer": bw} {
+		w := NewWriter(sink)
+		for range 20 {
+			for _, r := range writerRecords() {
+				if err := w.Write(r); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+		if w.Count() != int64(20*len(writerRecords())) {
+			t.Errorf("%s: Count = %d", name, w.Count())
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(direct.Bytes(), want) {
+		t.Errorf("bytes.Buffer sink holds %d bytes, not the %d framed records", direct.Len(), len(want))
+	}
+	if !bytes.Equal(viaBufio.Bytes(), want) {
+		t.Errorf("bufio.Writer sink wrote %d bytes, not the %d framed records", viaBufio.Len(), len(want))
+	}
+}
+
+// In steady state a Writer allocates nothing per record, whether records
+// fit the sink's free space or fall back to the Writer's reused buffer:
+// the 5000-byte record never fits a 4 KiB bufio.Writer.
+func TestWriterAllocatesNothingPerRecord(t *testing.T) {
+	w := NewWriter(bufio.NewWriterSize(io.Discard, 4<<10))
+	recs := writerRecords()
+	write := func() {
+		for _, r := range recs {
+			if err := w.Write(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write()
+	if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
+		t.Errorf("writing %d records allocated %v times, want 0", len(recs), allocs)
 	}
 }

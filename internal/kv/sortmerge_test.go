@@ -372,7 +372,8 @@ func TestMergerSourceErrorMatchesHeapMerge(t *testing.T) {
 // FuzzSortMerge drives both differential checks from arbitrary bytes:
 // data is carved into keys (a length byte, then that many key bytes, up to
 // 12 so 8-byte prefix ties are common), dealt across k runs by the byte
-// after each key.
+// after each key. SortFramed sorts the framed keys, and must also fail on
+// data itself, read as a frame, exactly when DecodeAll does.
 func FuzzSortMerge(f *testing.F) {
 	f.Add([]byte{2, 'a', 'b', 0, 3, 'a', 'b', 0, 1, 0, 0, 2}, uint8(3))
 	f.Add([]byte("\x08prefix00\x00\x09prefix00a\x01\x08prefix00\x02"), uint8(2))
@@ -392,6 +393,8 @@ func FuzzSortMerge(f *testing.F) {
 		f.Add(data, uint8(n))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
+		var s FrameSorter
+		checkSortFramedErr(t, "raw-bytes", &s, data)
 		nruns := int(k%8) + 1
 		runs := make([][]Record, nruns)
 		var all []Record
@@ -416,5 +419,94 @@ func FuzzSortMerge(f *testing.F) {
 			}
 			checkMerge(t, c.name, cp, c.cmp, c.ref, mixedSources)
 		}
+		checkSortFramed(t, "framed", &s, all)
 	})
+}
+
+// checkSortFramed frames recs and sorts the frame with SortFramed, through
+// s, after a prefix already in dst: the result must be the prefix, then
+// exactly the bytes of SortRecords(recs, nil) re-encoded by AppendRecord.
+func checkSortFramed(t *testing.T, what string, s *FrameSorter, recs []Record) {
+	t.Helper()
+	var src []byte
+	for _, r := range recs {
+		src = AppendRecord(src, r)
+	}
+	sorted := slices.Clone(recs)
+	SortRecords(sorted, nil)
+	var want []byte
+	for _, r := range sorted {
+		want = AppendRecord(want, r)
+	}
+	prefix := []byte("dst")
+	got, n, err := s.SortFramed(slices.Clone(prefix), src)
+	if err != nil || n != len(recs) {
+		t.Fatalf("%s: SortFramed = %d records, %v; want %d", what, n, err, len(recs))
+	}
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("%s: SortFramed bytes differ from SortRecords + AppendRecord", what)
+	}
+	if fresh, _, _ := SortFramed(nil, src); !bytes.Equal(fresh, want) {
+		t.Fatalf("%s: SortFramed on a fresh sorter differs from SortRecords + AppendRecord", what)
+	}
+}
+
+// checkSortFramedErr: on any bytes, SortFramed fails exactly when
+// DecodeAll does, with the same error, and then leaves dst as it was.
+func checkSortFramedErr(t *testing.T, what string, s *FrameSorter, data []byte) {
+	t.Helper()
+	_, wantErr := DecodeAll(data)
+	got, _, err := s.SortFramed([]byte("dst"), data)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: SortFramed error %v, DecodeAll error %v", what, err, wantErr)
+	}
+	if err != nil && string(got) != "dst" {
+		t.Fatalf("%s: a failed SortFramed returned dst %q", what, got)
+	}
+}
+
+// TestSortFramedMatchesSortRecords sorts every key shape at the radix
+// sort's cut-over and at one SPL batch of TeraSort records, through one
+// reused FrameSorter. Every third value is 128 bytes or more, so its
+// length varint takes two bytes.
+func TestSortFramedMatchesSortRecords(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var s FrameSorter
+	for _, shape := range keyShapes {
+		for _, n := range []int{0, 1, 63, 64, 65, 2621} {
+			recs := genRuns(rng, 1, n, shape.key)[0]
+			for i := range recs {
+				if i%3 == 0 {
+					recs[i].Value = append(recs[i].Value, make([]byte, 128+rng.Intn(200))...)
+				}
+			}
+			checkSortFramed(t, fmt.Sprintf("%s/n=%d", shape.name, n), &s, recs)
+		}
+	}
+	// Keys of 128 bytes or more take two-byte varints too.
+	long := bytes.Repeat([]byte{'k'}, 200)
+	checkSortFramed(t, "long-keys", &s, []Record{{Key: long[:150], Value: []byte("1")}, {Key: long[:130]}, {Key: long}})
+}
+
+// A frame truncated at every byte, or carrying a length varint that
+// overflows, fails SortFramed exactly as it fails DecodeAll.
+func TestSortFramedErrorsLikeDecodeAll(t *testing.T) {
+	var frame []byte
+	for _, r := range []Record{
+		{Key: []byte("k1"), Value: []byte("v1")},
+		{},
+		{Key: bytes.Repeat([]byte{'x'}, 130), Value: bytes.Repeat([]byte{'y'}, 200)},
+		{Key: []byte("k2"), Value: []byte("v2")},
+	} {
+		frame = AppendRecord(frame, r)
+	}
+	var s FrameSorter
+	for i := 0; i <= len(frame); i++ {
+		checkSortFramedErr(t, fmt.Sprintf("cut@%d", i), &s, frame[:i])
+	}
+	overflow := bytes.Repeat([]byte{0xFF}, 10)
+	checkSortFramedErr(t, "key-varint-overflow", &s, overflow)
+	checkSortFramedErr(t, "value-varint-overflow", &s, append([]byte{1, 'k'}, overflow...))
+	// A failed sort leaves the sorter fit for the next frame.
+	checkSortFramed(t, "after-errors", &s, []Record{{Key: []byte("b")}, {Key: []byte("a")}})
 }
